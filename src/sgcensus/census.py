@@ -1,9 +1,11 @@
 """Per-genus census over the full tree, with persistent output.
 
-One enumeration pass tallies, for every genus up to the configured
-bound: the Frobenius-class split, sumset-obstruction failures within a
-tested n-range, the analytic window flags, weight extremes, and the
-multiplicity histogram.  Rows can be written as CSV or JSON lines, and
+One enumeration pass counts, for every genus up to the configured
+bound, semigroups by (multiplicity, Frobenius number) and by weight,
+and runs the sumset-obstruction test within a tested n-range at each
+node.  The rows are read off those counts afterwards: the
+Frobenius-class split, sumset-obstruction failures, the analytic window
+flags, weight extremes, and the multiplicity histogram.  Rows can be written as CSV or JSON lines, and
 a checkpoint file allows an interrupted run to resume per genus.
 
 Counts for g = 16..25 are cross-checked against the published table
@@ -12,20 +14,24 @@ of totals and n = 2 obstruction failures.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import IO, Iterable, Optional, Sequence, Union
+from functools import reduce
+from typing import IO, Iterable, Iterator, Optional, Sequence, Union
 
 from .enumeration import (
     DEFAULT_GENUS_CAP,
     ResourceLimitError,
     _ROOT,
-    _raw_children,
+    _histogram_walk,
     _raw_layer,
+    mf_cells,
+    weight_cells,
 )
 from .partitions import BETA1, BETA2, GAMMA, GOLDEN_RATIO
 
@@ -173,121 +179,18 @@ class CensusRow:
         )
 
 
-# tally field order, shared by the walker and the row builder
-_NF = 18
-(_N, _ORD, _LOW, _MID, _HIGH, _NB2, _NBANY, _NBCAP, _Q, _R,
- _A, _B, _C, _NSTAR, _PHI, _P, _Y, _Z) = range(_NF)
+def _sumset_counter(cap: int, g_hi: int):
+    """Per-genus [nb2, nb_any, nb_capped] counters, and the walk's visit
+    callback that fills them: it tests |nH| > (2n-1)(g-1) on each gap
+    set H for n = 2 .. min(horizon, cap), where the size bound leaves
+    n >= 2 in play only for F close to 2g-1."""
+    nb = [[0, 0, 0] for _ in range(g_hi + 1)]
 
-
-def _per_genus_constants(cfg: CensusConfig, g_max: int) -> list[Optional[tuple]]:
-    eps = float(cfg.epsilon)
-    rden = cfg.genus_mult_ratio.denominator
-    out: list[Optional[tuple]] = [None]
-    for g in range(1, g_max + 1):
-        out.append((
-            g * (g + 1) // 2,            # triangular number, weight offset
-            g - 1,
-            3 * (g - 1),                 # n=2 failure threshold
-            2 * g,
-            g * rden,                    # lhs of g < ratio*m
-            (GAMMA - eps) * g,
-            (GAMMA + eps) * g,
-            (BETA1 - eps) * g * g,
-            (BETA2 + eps) * g * g,
-            2 * g - 1,                   # symmetric-case F
-        ))
-    return out
-
-
-def _new_accs(g_max: int) -> tuple[list, list, list]:
-    counts = [None] + [[0] * _NF for _ in range(g_max)]
-    mult = [None] + [{} for _ in range(g_max)]
-    wmm = [None] + [[1 << 62, -1] for _ in range(g_max)]
-    return counts, mult, wmm
-
-
-def _merge_accs(dst, src) -> None:
-    dcounts, dmult, dwmm = dst
-    scounts, smult, swmm = src
-    for g in range(1, len(dcounts)):
-        drow, srow = dcounts[g], scounts[g]
-        for i in range(_NF):
-            drow[i] += srow[i]
-        dm = dmult[g]
-        for m, c in smult[g].items():
-            dm[m] = dm.get(m, 0) + c
-        if swmm[g][0] < dwmm[g][0]:
-            dwmm[g][0] = swmm[g][0]
-        if swmm[g][1] > dwmm[g][1]:
-            dwmm[g][1] = swmm[g][1]
-
-
-def _walk_tally(roots, g_hi: int, layer_only: bool, accs, cfg: CensusConfig) -> None:
-    """Depth-first walk from the given raw nodes, tallying flags.
-
-    layer_only restricts the tally to nodes of genus exactly g_hi;
-    otherwise every node of genus >= 1 on the way down is counted.
-    This is the census hot path: flag logic is inlined and children at
-    the deepest layer skip generator-set construction.
-    """
-    counts, mult, wmm = accs
-    pg = _per_genus_constants(cfg, g_hi)
-    e = cfg.epsilon
-    p_lo, q_lo = 2 * e.denominator - e.numerator, e.denominator
-    p_hi, q_hi = 2 * e.denominator + e.numerator, e.denominator
-    rnum = cfg.genus_mult_ratio.numerator
-    m_thr = cfg.m_threshold
-    cap = cfg.nb_n_cap
-    beta_on = cfg.weight_beta_flags
-
-    def tally(mask: int, m: int, f: int, g: int, gsum: int) -> None:
-        tri, gm1, thr2, two_g, c_lhs, phi_lo, phi_hi, y_thr, z_thr, sym = pg[g]
-        row = counts[g]
-        row[_N] += 1
-        w = gsum - tri
-        if f < 2 * m:
-            if f == m - 1:
-                row[_ORD] += 1
-            else:
-                row[_LOW] += 1
-            if w < gm1:
-                row[_Q] += 1
-        elif f < 3 * m:
-            row[_MID] += 1
-        else:
-            row[_HIGH] += 1
-        if two_g < 3 * m:
-            row[_R] += 1
-        if p_lo * m < q_lo * f:
-            if q_hi * f < p_hi * m:
-                row[_A] += 1
-        else:
-            row[_NSTAR] += 1
-        if m < m_thr:
-            row[_B] += 1
-        if c_lhs < rnum * m:
-            row[_C] += 1
-        if phi_lo < m < phi_hi:
-            row[_PHI] += 1
-        if f < 3 * m and p_hi * m < q_hi * f:
-            row[_P] += 1
-        if beta_on:
-            if w <= y_thr:
-                row[_Y] += 1
-            if w >= z_thr:
-                row[_Z] += 1
-        mg = mult[g]
-        mg[m] = mg.get(m, 0) + 1
-        wg = wmm[g]
-        if w < wg[0]:
-            wg[0] = w
-        if w > wg[1]:
-            wg[1] = w
-        # sumset obstruction: only where the size bound leaves n >= 2
-        # in play, which needs F close to 2g-1
+    def visit(mask: int, f: int, g: int) -> None:
+        gm1 = g - 1
         if gm1 == 0:
             return
-        d = sym - f
+        d = 2 * g - 1 - f
         if d:
             horizon = gm1 // d
             if horizon < 2:
@@ -297,6 +200,7 @@ def _walk_tally(roots, g_hi: int, layer_only: bool, accs, cfg: CensusConfig) -> 
         else:
             n_hi = cap
             capped = True
+        counts = nb[g]
         gapmask = ~mask & ((1 << (f + 1)) - 1)
         acc = 0
         bits = gapmask
@@ -304,9 +208,9 @@ def _walk_tally(roots, g_hi: int, layer_only: bool, accs, cfg: CensusConfig) -> 
             lsb = bits & -bits
             acc |= gapmask << (lsb.bit_length() - 1)
             bits ^= lsb
-        if acc.bit_count() > thr2:
-            row[_NB2] += 1
-            row[_NBANY] += 1
+        if acc.bit_count() > 3 * gm1:
+            counts[0] += 1
+            counts[1] += 1
             return
         for n in range(3, n_hi + 1):
             nxt = 0
@@ -317,62 +221,103 @@ def _walk_tally(roots, g_hi: int, layer_only: bool, accs, cfg: CensusConfig) -> 
                 bits ^= lsb
             acc = nxt
             if acc.bit_count() > (2 * n - 1) * gm1:
-                row[_NBANY] += 1
+                counts[1] += 1
                 return
         if capped:
-            row[_NBCAP] += 1
+            counts[2] += 1
 
-    last = g_hi - 1
-    stack = list(roots)
-    while stack:
-        node = stack.pop()
-        mask, m, frob, g, gsum, gens = node
-        if g and (not layer_only or g == g_hi):
-            tally(mask, m, frob, g, gsum)
-        if g > last:
-            continue
-        if g == last:
-            f1 = frob + 1
-            for x in gens:
-                ext = x - 1 - frob
-                cmask = (mask | (((1 << ext) - 1) << f1)) if ext else mask
-                tally(cmask, m + 1 if x == m else m, x, g + 1, gsum + x)
-        else:
-            stack.extend(_raw_children(node))
+    return nb, visit
 
 
-def _worker_full(args) -> tuple:
-    node, g_max, cfg = args
-    accs = _new_accs(g_max)
-    _walk_tally([node], g_max, False, accs, cfg)
-    return accs
+def _walk(task: tuple) -> tuple:
+    """(mf, wf, nb) per-genus counts of one subtree; task is
+    (raw node, g_lo, g_hi, sumset n cap)."""
+    node, g_lo, g_hi, cap = task
+    nb, visit = _sumset_counter(cap, g_hi)
+    mf, wf = _histogram_walk(node, g_lo, g_hi, visit)
+    return mf, wf, nb
 
 
-def _worker_layer(args) -> tuple:
-    node, genus, cfg = args
-    accs = _new_accs(genus)
-    _walk_tally([node], genus, True, accs, cfg)
-    return accs
+def _merge(dst: tuple, src: tuple) -> tuple:
+    """Add src's per-genus count lists into dst, which covers at least
+    the same genera."""
+    for d, s in zip(dst, src):
+        for g, cells in enumerate(s):
+            d[g] = [a + b for a, b in zip(d[g], cells)]
+    return dst
 
 
-def _build_row(g: int, accs) -> CensusRow:
-    counts, mult, wmm = accs
-    row = counts[g]
-    hist_src = mult[g]
-    top = max(hist_src) if hist_src else 0
-    hist = [0] * (top + 1)
-    for m, c in hist_src.items():
-        hist[m] = c
-    out = CensusRow(
-        g=g, n=row[_N], ordinary=row[_ORD], low=row[_LOW], mid=row[_MID],
-        high=row[_HIGH], nb2=row[_NB2], nb_any=row[_NBANY],
-        nb_capped=row[_NBCAP], q_eh=row[_Q], r_2g3m=row[_R], a_eps=row[_A],
-        b_m420=row[_B], c_ratio=row[_C], nstar_eps=row[_NSTAR],
-        phi_eps=row[_PHI], p_eps=row[_P], y_beta1=row[_Y], z_beta2=row[_Z],
-        w_min=wmm[g][0], w_max=wmm[g][1], mult_hist=tuple(hist),
-    )
-    _check_row(out)
-    return out
+def _census_counts(cfg: CensusConfig, g_lo: int, g_hi: int) -> tuple:
+    """Counts for genus g_lo .. g_hi.  With threads, one task per node
+    of the split layer; nodes above it are walked in this process."""
+    cap = cfg.nb_n_cap
+    depth = min(cfg.split_depth, g_hi)
+    if cfg.threads == 1 or g_hi <= depth:
+        return _walk((_ROOT, g_lo, g_hi, cap))
+    tasks = [(node, g_lo, g_hi, cap) for node in _raw_layer(depth)]
+    workers = min(cfg.threads, os.cpu_count() or 1, len(tasks))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        # merged as they finish, so that finished results do not wait
+        # in memory behind the largest subtree
+        done = as_completed([pool.submit(_walk, task) for task in tasks])
+        counts = reduce(_merge, (future.result() for future in done))
+    return _merge(counts, _walk((_ROOT, g_lo, depth - 1, cap)))
+
+
+# the CensusRow counts read off the histograms
+_HIST_COLUMNS = ("n", "ordinary", "low", "mid", "high", "q_eh", "r_2g3m", "a_eps",
+                 "b_m420", "c_ratio", "nstar_eps", "phi_eps", "p_eps", "y_beta1",
+                 "z_beta2")
+
+
+def _rows_from_hist(cfg: CensusConfig, counts: tuple, g_lo: int, g_hi: int) -> list[CensusRow]:
+    """Rows for genus g_lo .. g_hi.  Every column but the sumset ones
+    is a function of (g, m, F, w), read here off the walk's histograms,
+    so the window and threshold settings act only after the walk."""
+    mf, wf, nb = counts
+    e = cfg.epsilon
+    # F > (2 - eps) m and F < (2 + eps) m, cross-multiplied by q
+    q = e.denominator
+    lo, hi = 2 * q - e.numerator, 2 * q + e.numerator
+    rnum, rden = cfg.genus_mult_ratio.numerator, cfg.genus_mult_ratio.denominator
+    eps = float(e)
+    rows = []
+    for g in range(g_lo, g_hi + 1):
+        t = dict.fromkeys(_HIST_COLUMNS, 0)
+        phi_lo, phi_hi = (GAMMA - eps) * g, (GAMMA + eps) * g
+        mult: dict[int, int] = {}
+        for m, f, c in mf_cells(g, mf[g]):
+            mult[m] = mult.get(m, 0) + c
+            above, below = lo * m < q * f, q * f < hi * m
+            for name, hit in (
+                ("n", True),
+                ("ordinary" if f == m - 1 else "low" if f < 2 * m
+                 else "mid" if f < 3 * m else "high", True),
+                ("r_2g3m", 2 * g < 3 * m),
+                ("a_eps", above and below),
+                ("nstar_eps", not above),
+                ("b_m420", m < cfg.m_threshold),
+                ("c_ratio", g * rden < rnum * m),
+                ("phi_eps", phi_lo < m < phi_hi),
+                ("p_eps", f < 3 * m and hi * m < q * f),
+            ):
+                t[name] += c * hit
+        weights = weight_cells(wf[g])
+        y_thr, z_thr = (BETA1 - eps) * g * g, (BETA2 + eps) * g * g
+        for w, low, c in weights:
+            t["q_eh"] += c * (low and w < g - 1)
+            if cfg.weight_beta_flags:
+                t["y_beta1"] += c * (w <= y_thr)
+                t["z_beta2"] += c * (w >= z_thr)
+        nb2, nb_any, nb_capped = nb[g]
+        row = CensusRow(
+            g=g, nb2=nb2, nb_any=nb_any, nb_capped=nb_capped,
+            w_min=weights[0][0], w_max=weights[-1][0],
+            mult_hist=tuple(mult.get(m, 0) for m in range(max(mult) + 1)), **t,
+        )
+        _check_row(row)
+        rows.append(row)
+    return rows
 
 
 def _check_row(r: CensusRow) -> None:
@@ -390,50 +335,46 @@ def _check_row(r: CensusRow) -> None:
         raise RuntimeError(f"census row invariant violated at genus {r.g}: {r}")
 
 
-def _split_tasks(cfg: CensusConfig, depth: int, per_node_extra) -> list[tuple]:
-    return [(node, per_node_extra, cfg) for node in _raw_layer(depth)]
+@contextlib.contextmanager
+def replacing(path: str) -> Iterator[IO[str]]:
+    """A text file that takes the place of path when the block ends
+    without error and is deleted otherwise.  It is created on entry, so
+    an unwritable path fails before any work, and path itself is left
+    whole until the end.  A device, pipe or directory at path is opened
+    directly instead, since there is no file to replace."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        return
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
-def _run_full_pass(cfg: CensusConfig) -> tuple:
-    accs = _new_accs(cfg.g_max)
-    depth = min(cfg.split_depth, cfg.g_max)
-    if cfg.threads == 1 or cfg.g_max <= depth:
-        _walk_tally([_ROOT], cfg.g_max, False, accs, cfg)
-        return accs
-    # nodes above the split layer in the main process, one subtree per task
-    _walk_tally([_ROOT], depth - 1, False, accs, cfg)
-    tasks = _split_tasks(cfg, depth, cfg.g_max)
-    with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
-        for part in pool.map(_worker_full, tasks):
-            _merge_accs(accs, part)
-    return accs
-
-
-def _run_one_genus(cfg: CensusConfig, genus: int) -> CensusRow:
-    accs = _new_accs(genus)
-    depth = min(cfg.split_depth, genus)
-    if cfg.threads == 1 or genus <= depth:
-        _walk_tally([_ROOT], genus, True, accs, cfg)
-        return _build_row(genus, accs)
-    tasks = _split_tasks(cfg, depth, genus)
-    with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
-        for part in pool.map(_worker_layer, tasks):
-            _merge_accs(accs, part)
-    return _build_row(genus, accs)
+def _jsonl(row: CensusRow) -> str:
+    return json.dumps(row.as_dict(), separators=(",", ":")) + "\n"
 
 
 def load_checkpoint(path: str, cfg: CensusConfig) -> dict[int, CensusRow]:
     """Completed rows from a checkpoint file.  An absent or empty file
-    means a fresh start; a header written under a different
-    configuration raises.  A torn trailing line is dropped."""
+    means a fresh start.  A header written under a different
+    configuration, or a damaged row before the last line, raises; a
+    torn last line is dropped."""
     if not os.path.exists(path):
         return {}
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+        lines = [(i, line) for i, line in enumerate(fh.read().splitlines(), start=1)
+                 if line.strip()]
     if not lines:
         return {}
     try:
-        header = json.loads(lines[0])
+        header = json.loads(lines[0][1])
     except json.JSONDecodeError:
         raise CheckpointMismatchError(f"unreadable checkpoint header in {path}")
     if header.get("config_hash") != cfg.config_hash():
@@ -442,14 +383,18 @@ def load_checkpoint(path: str, cfg: CensusConfig) -> dict[int, CensusRow]:
             f"{header.get('config_hash')}, current is {cfg.config_hash()}"
         )
     rows: dict[int, CensusRow] = {}
-    for line in lines[1:]:
-        if not line.strip():
-            continue
+    for i, line in lines[1:]:
         try:
             d = json.loads(line)
+        except json.JSONDecodeError:
+            if i == lines[-1][0]:
+                break  # torn by an interrupted append
+            raise CheckpointMismatchError(f"unreadable row on line {i} of {path}")
+        try:
             row = CensusRow.from_dict(d)
-        except (json.JSONDecodeError, KeyError):
-            break
+            _check_row(row)
+        except (KeyError, TypeError, ValueError, RuntimeError) as exc:
+            raise CheckpointMismatchError(f"bad row on line {i} of {path}: {exc!r}")
         rows[row.g] = row
     return rows
 
@@ -462,23 +407,21 @@ def run_census(cfg: CensusConfig, *, genus_cap: int = DEFAULT_GENUS_CAP) -> list
     if cfg.g_max > genus_cap:
         raise ResourceLimitError(cfg.g_max, genus_cap)
     if cfg.checkpoint_path is None:
-        accs = _run_full_pass(cfg)
-        return [_build_row(g, accs) for g in range(1, cfg.g_max + 1)]
+        return _rows_from_hist(cfg, _census_counts(cfg, 1, cfg.g_max), 1, cfg.g_max)
 
     done = load_checkpoint(cfg.checkpoint_path, cfg)
-    # rewrite up front: heals a torn trailing line from an interrupt
-    with open(cfg.checkpoint_path, "w", encoding="utf-8") as fh:
+    # rewrite up front: heals a torn trailing line from an interrupt,
+    # and a crash meanwhile leaves the old file in place
+    with replacing(cfg.checkpoint_path) as fh:
         fh.write(json.dumps({"config_hash": cfg.config_hash(), "format": 1}) + "\n")
         for g in sorted(done):
-            fh.write(json.dumps(done[g].as_dict(), separators=(",", ":")) + "\n")
-        fh.flush()
+            fh.write(_jsonl(done[g]))
+    with open(cfg.checkpoint_path, "a", encoding="utf-8") as fh:
         for g in range(1, cfg.g_max + 1):
-            if g in done:
-                continue
-            row = _run_one_genus(cfg, g)
-            done[g] = row
-            fh.write(json.dumps(row.as_dict(), separators=(",", ":")) + "\n")
-            fh.flush()
+            if g not in done:
+                [done[g]] = _rows_from_hist(cfg, _census_counts(cfg, g, g), g, g)
+                fh.write(_jsonl(done[g]))
+                fh.flush()
     return [done[g] for g in range(1, cfg.g_max + 1)]
 
 
@@ -499,7 +442,7 @@ def write_jsonl(rows: Sequence[CensusRow], out: Union[str, IO[str]]) -> None:
     fh = open(out, "w", encoding="utf-8") if own else out
     try:
         for r in rows:
-            fh.write(json.dumps(r.as_dict(), separators=(",", ":")) + "\n")
+            fh.write(_jsonl(r))
     finally:
         if own:
             fh.close()

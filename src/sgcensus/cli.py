@@ -27,6 +27,7 @@ from .census import (
     CensusConfig,
     CheckpointMismatchError,
     komeda_compare,
+    replacing,
     run_census,
     write_csv,
     write_jsonl,
@@ -164,11 +165,12 @@ def cmd_census(args: argparse.Namespace) -> int:
         threads=args.threads,
         checkpoint_path=args.checkpoint,
     )
-    rows = run_census(cfg)
-    if args.format == "csv":
-        write_csv(rows, args.out)
-    else:
-        write_jsonl(rows, args.out)
+    write = write_csv if args.format == "csv" else write_jsonl
+    # opened before the walk: an unwritable path fails at once, and an
+    # existing file is replaced only once the rows are written
+    with replacing(args.out) as fh:
+        rows = run_census(cfg)
+        write(rows, fh)
     summary = {
         "g_max": cfg.g_max,
         "epsilon": str(cfg.epsilon),

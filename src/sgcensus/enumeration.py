@@ -151,20 +151,20 @@ def enumerate_by_genus(
     if g_max < 0:
         raise ValueError("g_max must be nonnegative")
     _check_cap(g_max, genus_cap)
-    tally = Counter()
+    by_genus: Counter = Counter()
     stack: list[RawNode] = [_ROOT]
     pop = stack.pop
     while stack:
         raw = pop()
         g = raw[3]
-        tally[g] += 1
+        by_genus[g] += 1
         if visitor is not None:
             visitor(_raw_to_node(raw))
         if g < g_max:
             kids = _raw_children(raw)
             for child in reversed(kids):
                 stack.append(child)
-    return Tally(tally)
+    return Tally(by_genus)
 
 
 def genus_layer(depth: int, *, genus_cap: int = DEFAULT_GENUS_CAP) -> list[TreeNode]:
@@ -185,6 +185,71 @@ def _raw_layer(depth: int, genus_cap: int = DEFAULT_GENUS_CAP) -> list[RawNode]:
     return layer
 
 
+def _histogram_walk(
+    node: RawNode,
+    g_lo: int,
+    g_hi: int,
+    visit: Optional[Callable[[int, int, int], None]] = None,
+) -> tuple[list[list[int]], list[list[int]]]:
+    """Per-genus histograms of the subtree under a raw node, counting
+    its nodes of genus g_lo .. g_hi (g_lo >= 1).
+
+    Returns (mf, wf), lists indexed by genus of flat count lists:
+    mf[g][2g*m + F] counts by multiplicity and Frobenius number, and
+    wf[g][2w + (F < 2m)] by weight, split on F < 2m.  Their shapes
+    depend on the genus alone, so walks of different subtrees add
+    elementwise.  visit(mask, F, g), when given, runs once per counted
+    node with its membership bitmap over [0, F].  Nodes of genus g_hi
+    are tallied from their parent without building generator lists.
+    """
+    mf = [[0] * (2 * g * (g + 2)) for g in range(g_hi + 1)]
+    wf = [[0] * (g * (g - 1) + 2) for g in range(g_hi + 1)]
+    tri = [g * (g + 1) // 2 for g in range(g_hi + 1)]
+    last = g_hi - 1
+    stack: list[RawNode] = [node]
+    pop = stack.pop
+    extend = stack.extend
+    while stack:
+        node = pop()
+        mask, m, frob, g, gap_sum, gens = node
+        if g >= g_lo:
+            mf[g][2 * g * m + frob] += 1
+            w = gap_sum - tri[g]
+            wf[g][w + w + (frob < m + m)] += 1
+            if visit is not None:
+                visit(mask, frob, g)
+        if g < last:
+            extend(_raw_children(node))
+        elif g == last:
+            g1 = g + 1
+            mf1, wf1 = mf[g1], wf[g1]
+            stride = 2 * g1
+            w0 = gap_sum - tri[g1]
+            f1 = frob + 1
+            for x in gens:
+                m1 = m + 1 if x == m else m
+                mf1[stride * m1 + x] += 1
+                w = w0 + x
+                wf1[w + w + (x < m1 + m1)] += 1
+                if visit is not None:
+                    ext = x - f1
+                    visit((mask | (((1 << ext) - 1) << f1)) if ext else mask, x, g1)
+    return mf, wf
+
+
+def mf_cells(g: int, cells: list[int]) -> list[tuple[int, int, int]]:
+    """(multiplicity, frobenius, count) for each nonzero cell of a
+    genus-g (m, F) histogram."""
+    stride = 2 * g
+    return [(i // stride, i % stride, c) for i, c in enumerate(cells) if c]
+
+
+def weight_cells(cells: list[int]) -> list[tuple[int, bool, int]]:
+    """(weight, F < 2m, count) for each nonzero cell of a weight
+    histogram, in increasing order of weight."""
+    return [(i >> 1, bool(i & 1), c) for i, c in enumerate(cells) if c]
+
+
 def mfg_counts(
     g_max: int, *, genus_cap: int = DEFAULT_GENUS_CAP
 ) -> Counter:
@@ -193,23 +258,11 @@ def mfg_counts(
     if g_max < 0:
         raise ValueError("g_max must be nonnegative")
     _check_cap(g_max, genus_cap)
-    counts: Counter = Counter()
-    stack: list[RawNode] = [_ROOT]
-    pop = stack.pop
-    push = stack.append
-    while stack:
-        raw = pop()
-        _, m, frob, g, _, gens = raw
-        counts[(m, frob, g)] += 1
-        if g >= g_max:
-            continue
-        if g + 1 == g_max:
-            # leaves need no generator bookkeeping
-            for x in gens:
-                counts[(m + 1 if x == m else m, x, g + 1)] += 1
-        else:
-            for child in _raw_children(raw):
-                push(child)
+    counts: Counter = Counter({(1, -1, 0): 1})
+    mf, _ = _histogram_walk(_ROOT, 1, g_max)
+    for g in range(1, g_max + 1):
+        for m, f, c in mf_cells(g, mf[g]):
+            counts[(m, f, g)] = c
     return counts
 
 

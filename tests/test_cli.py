@@ -7,13 +7,20 @@ import sys
 
 import pytest
 
+from sgcensus import cli
+from sgcensus.census import CheckpointMismatchError
 from sgcensus.cli import parse_int_list
 
 WITNESS = "1..12,19,21,24,25"
 
 
+# the subprocess imports the same sgcensus as these tests
+PACKAGE_ROOT = os.path.dirname(os.path.dirname(cli.__file__))
+
+
 def run_cli(*args, env_extra=None):
     env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (PACKAGE_ROOT, env.get("PYTHONPATH"))))
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
@@ -170,6 +177,43 @@ def test_census_resource_and_io_errors(tmp_path):
     r = run_cli("census", "--gmax", "4", "--out", "/no-such-dir/x.csv")
     assert r.returncode == 5
     assert "cannot write" in r.stderr
+
+
+def test_census_unwritable_out_fails_before_walk(tmp_path, monkeypatch):
+    def must_not_run(cfg):
+        raise AssertionError("census walked before the output path was checked")
+
+    monkeypatch.setattr(cli, "run_census", must_not_run)
+    for out in (tmp_path / "missing" / "x.csv", tmp_path):
+        assert cli.main(["census", "--gmax", "4", "--out", str(out)]) == 5
+
+
+def test_census_failed_run_keeps_existing_out(tmp_path, monkeypatch):
+    out = tmp_path / "rows.csv"
+    out.write_text("earlier rows\n")
+
+    def mismatch(cfg):
+        raise CheckpointMismatchError("stale checkpoint")
+
+    monkeypatch.setattr(cli, "run_census", mismatch)
+    assert cli.main(["census", "--gmax", "4", "--out", str(out)]) == 6
+    assert out.read_text() == "earlier rows\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["rows.csv"]
+
+
+def test_census_damaged_checkpoint_row_exit_code(tmp_path):
+    out = tmp_path / "rows.csv"
+    ck = tmp_path / "census.ckpt"
+    assert run_cli("census", "--gmax", "6", "--out", str(out),
+                   "--checkpoint", str(ck)).returncode == 0
+    lines = ck.read_text().splitlines()
+    row = json.loads(lines[3])
+    row["mult_hist"] = 5
+    lines[3] = json.dumps(row)
+    ck.write_text("\n".join(lines) + "\n")
+    r = run_cli("census", "--gmax", "6", "--out", str(out), "--checkpoint", str(ck))
+    assert r.returncode == 6
+    assert "Traceback" not in r.stderr
 
 
 def test_verify_suites_pass():
