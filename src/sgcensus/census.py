@@ -27,9 +27,8 @@ from typing import IO, Iterable, Iterator, Optional, Sequence, Union
 from .enumeration import (
     DEFAULT_GENUS_CAP,
     ResourceLimitError,
-    _ROOT,
     _histogram_walk,
-    _raw_layer,
+    _split,
     mf_cells,
     weight_cells,
 )
@@ -53,7 +52,6 @@ KOMEDA_TABLE: dict[int, tuple[int, int, float]] = {
 DEFAULT_EPSILON = Fraction(1, 21)
 DEFAULT_M_THRESHOLD = 420
 DEFAULT_GENUS_MULT_RATIO = Fraction(13667, 10000)
-DEFAULT_SPLIT_DEPTH = 8
 
 CSV_HEADER = (
     "g,N,ordinary,low,mid,high,nb2,nb_any,nb_capped,q_eh,r_2g3m,a_eps,"
@@ -76,7 +74,6 @@ class CensusConfig:
     weight_beta_flags: bool = True
     threads: int = 1
     checkpoint_path: Optional[str] = None
-    split_depth: int = DEFAULT_SPLIT_DEPTH
 
     def __post_init__(self) -> None:
         if self.g_max < 1:
@@ -91,12 +88,10 @@ class CensusConfig:
             raise ValueError("genus_mult_ratio must be a positive Fraction")
         if self.threads < 1:
             raise ValueError("threads must be at least 1")
-        if self.split_depth < 1:
-            raise ValueError("split_depth must be at least 1")
 
     def config_hash(self) -> str:
-        """Hash of the fields that change row values.  g_max, threads,
-        split depth and paths are free to differ across a resume."""
+        """Hash of the fields that change row values.  g_max, threads
+        and paths are free to differ across a resume."""
         payload = json.dumps(
             {
                 "epsilon": str(self.epsilon),
@@ -248,20 +243,19 @@ def _merge(dst: tuple, src: tuple) -> tuple:
 
 
 def _census_counts(cfg: CensusConfig, g_lo: int, g_hi: int) -> tuple:
-    """Counts for genus g_lo .. g_hi.  With threads, one task per node
-    of the split layer; nodes above it are walked in this process."""
-    cap = cfg.nb_n_cap
-    depth = min(cfg.split_depth, g_hi)
-    if cfg.threads == 1 or g_hi <= depth:
-        return _walk((_ROOT, g_lo, g_hi, cap))
-    tasks = [(node, g_lo, g_hi, cap) for node in _raw_layer(depth)]
-    workers = min(cfg.threads, os.cpu_count() or 1, len(tasks))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    """Counts for genus g_lo .. g_hi.  With more than one worker, the
+    tree is split into 64 subtrees per worker, so that the largest
+    holds a small share of it, and the subtrees are walked in a pool."""
+    workers = min(cfg.threads, os.cpu_count() or 1)
+    tasks = [(node, g_lo, g_hi, cfg.nb_n_cap)
+             for node in _split(g_hi, 1 if workers == 1 else 64 * workers)]
+    if len(tasks) == 1:
+        return _walk(tasks[0])
+    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
         # merged as they finish, so that finished results do not wait
         # in memory behind the largest subtree
         done = as_completed([pool.submit(_walk, task) for task in tasks])
-        counts = reduce(_merge, (future.result() for future in done))
-    return _merge(counts, _walk((_ROOT, g_lo, depth - 1, cap)))
+        return reduce(_merge, (future.result() for future in done))
 
 
 # the CensusRow counts read off the histograms
@@ -363,19 +357,21 @@ def _jsonl(row: CensusRow) -> str:
 
 def load_checkpoint(path: str, cfg: CensusConfig) -> dict[int, CensusRow]:
     """Completed rows from a checkpoint file.  An absent or empty file
-    means a fresh start.  A header written under a different
-    configuration, or a damaged row before the last line, raises; a
-    torn last line is dropped."""
+    means a fresh start.  A header that is not a UTF-8 JSON object or
+    was written under a different configuration, or a damaged row
+    before the last line, raises; a torn last line is dropped."""
     if not os.path.exists(path):
         return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [(i, line) for i, line in enumerate(fh.read().splitlines(), start=1)
-                 if line.strip()]
-    if not lines:
-        return {}
     try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [(i, line) for i, line in enumerate(fh.read().splitlines(), start=1)
+                     if line.strip()]
+        if not lines:
+            return {}
         header = json.loads(lines[0][1])
-    except json.JSONDecodeError:
+    except (UnicodeDecodeError, json.JSONDecodeError):
+        header = None
+    if not isinstance(header, dict):
         raise CheckpointMismatchError(f"unreadable checkpoint header in {path}")
     if header.get("config_hash") != cfg.config_hash():
         raise CheckpointMismatchError(

@@ -17,11 +17,13 @@ child computation constant-time per candidate instead of a rescan.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from heapq import heappop, heappush
 from itertools import combinations
 from typing import Callable, Optional
 
 from .core import Semigroup
+from .partitions import GOLDEN_RATIO
 
 RawNode = tuple[int, int, int, int, int, tuple[int, ...]]
 
@@ -29,7 +31,6 @@ _ROOT: RawNode = (1, 1, -1, 0, 0, (1,))
 
 DEFAULT_GENUS_CAP = 30
 BRUTE_FORCE_CAP = 10
-GOLDEN_RATIO = (1 + 5 ** 0.5) / 2
 
 
 class ResourceLimitError(RuntimeError):
@@ -115,21 +116,6 @@ def children(node: TreeNode) -> list[TreeNode]:
     return [_raw_to_node(raw) for raw in _raw_children(_node_to_raw(node))]
 
 
-@dataclass
-class Tally:
-    """Mergeable per-genus semigroup counts."""
-
-    by_genus: Counter = field(default_factory=Counter)
-
-    def merge(self, other: "Tally") -> "Tally":
-        merged = Counter(self.by_genus)
-        merged.update(other.by_genus)
-        return Tally(merged)
-
-    def count(self, genus: int) -> int:
-        return self.by_genus.get(genus, 0)
-
-
 def _check_cap(g_max: int, genus_cap: int) -> None:
     if g_max > genus_cap:
         raise ResourceLimitError(g_max, genus_cap)
@@ -140,9 +126,10 @@ def enumerate_by_genus(
     visitor: Optional[Callable[[TreeNode], None]] = None,
     *,
     genus_cap: int = DEFAULT_GENUS_CAP,
-) -> Tally:
+) -> Counter:
     """Walk the tree through genus g_max, invoking visitor once per
-    semigroup (the full semigroup included, at genus 0).
+    semigroup (the full semigroup included, at genus 0).  Returns the
+    number of semigroups of each genus.
 
     Sequential and deterministic: depth-first, children in increasing
     order of removed generator.  Nothing is materialized beyond the DFS
@@ -164,25 +151,18 @@ def enumerate_by_genus(
             kids = _raw_children(raw)
             for child in reversed(kids):
                 stack.append(child)
-    return Tally(by_genus)
+    return by_genus
 
 
 def genus_layer(depth: int, *, genus_cap: int = DEFAULT_GENUS_CAP) -> list[TreeNode]:
     """All tree nodes of the given genus, in enumeration order."""
-    return [_raw_to_node(raw) for raw in _raw_layer(depth, genus_cap)]
-
-
-def _raw_layer(depth: int, genus_cap: int = DEFAULT_GENUS_CAP) -> list[RawNode]:
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     _check_cap(depth, genus_cap)
     layer = [_ROOT]
     for _ in range(depth):
-        nxt: list[RawNode] = []
-        for raw in layer:
-            nxt.extend(_raw_children(raw))
-        layer = nxt
-    return layer
+        layer = [child for raw in layer for child in _raw_children(raw)]
+    return [_raw_to_node(raw) for raw in layer]
 
 
 def _histogram_walk(
@@ -235,6 +215,25 @@ def _histogram_walk(
                     ext = x - f1
                     visit((mask | (((1 << ext) - 1) << f1)) if ext else mask, x, g1)
     return mf, wf
+
+
+def _split(g_hi: int, n: int) -> list[RawNode]:
+    """About n raw nodes whose subtrees, walked through g_hi by
+    _histogram_walk, partition the tree through g_hi.  The tree is
+    skewed towards the ordinary semigroups, so the node of genus below
+    g_hi - 1 with the most removable generators is replaced by its
+    children and a copy of itself with none (a one-node subtree) until
+    there are n nodes or none is left to expand."""
+
+    def entry(node: RawNode) -> tuple[int, RawNode]:
+        return (-len(node[5]) if node[3] < g_hi - 1 else 0, node)
+
+    heap = [entry(_ROOT)]
+    while len(heap) < n and heap[0][0] < 0:
+        _, node = heappop(heap)
+        for child in _raw_children(node) + [node[:5] + ((),)]:
+            heappush(heap, entry(child))
+    return [node for _, node in heap]
 
 
 def mf_cells(g: int, cells: list[int]) -> list[tuple[int, int, int]]:

@@ -6,6 +6,7 @@ import json
 from collections import Counter
 from concurrent.futures import Future
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +29,13 @@ from sgcensus.census import (
     write_jsonl,
 )
 from sgcensus.classify import FrobeniusClass, eisenbud_harris, frobenius_class
-from sgcensus.enumeration import ResourceLimitError, enumerate_by_genus
+from sgcensus.enumeration import (
+    _ROOT,
+    ResourceLimitError,
+    _histogram_walk,
+    _split,
+    enumerate_by_genus,
+)
 from sgcensus.partitions import BETA1, BETA2, GAMMA, fibonacci
 
 KNOWN_N = [1, 1, 2, 4, 7, 12, 23, 39, 67, 118, 204, 343, 592, 1001, 1693]
@@ -142,8 +149,7 @@ def test_config_validation():
 
 def test_config_hash_covers_semantics_only():
     base = CensusConfig(g_max=10)
-    same = CensusConfig(g_max=12, threads=4, split_depth=3,
-                        checkpoint_path="/tmp/x")
+    same = CensusConfig(g_max=12, threads=4, checkpoint_path="/tmp/x")
     assert base.config_hash() == same.config_hash()
     assert base.config_hash() != CensusConfig(
         g_max=10, epsilon=Fraction(1, 7)
@@ -217,7 +223,7 @@ def test_jsonl_output_matches_rows(rows14):
 
 
 def test_threads_agree(rows14):
-    rows = run_census(CensusConfig(g_max=14, threads=2, split_depth=6))
+    rows = run_census(CensusConfig(g_max=14, threads=2))
     assert rows == rows14
     a, b = io.StringIO(), io.StringIO()
     write_csv(rows, a)
@@ -305,12 +311,18 @@ def test_checkpoint_damaged_middle_row_rejected(tmp_path, damage):
     assert ck.read_text().splitlines()[3] == lines[3]  # left for inspection
 
 
-def test_pool_bounded_by_cpus_and_tasks(rows14, monkeypatch):
-    seen = []
+@pytest.fixture
+def inline_pools(monkeypatch):
+    """The pools the census makes, each a stand-in for
+    ProcessPoolExecutor that runs a task when it is submitted, so that
+    no process is started."""
+    pools = []
 
     class InlinePool:
         def __init__(self, max_workers):
-            seen.append(max_workers)
+            self.max_workers = max_workers
+            self.tasks = []
+            pools.append(self)
 
         def __enter__(self):
             return self
@@ -319,18 +331,54 @@ def test_pool_bounded_by_cpus_and_tasks(rows14, monkeypatch):
             return False
 
         def submit(self, fn, task):
+            self.tasks.append(task)
             future = Future()
             future.set_result(fn(task))
             return future
 
     monkeypatch.setattr(census, "ProcessPoolExecutor", InlinePool)
-    layer4 = 7  # semigroups of genus 4: one task each
-    for cpus, threads, workers in ((None, 64, 1), (3, 64, 3), (16, 64, layer4),
-                                   (16, 2, 2)):
+    return pools
+
+
+def test_pool_bounded_by_cpus_and_tasks(rows14, inline_pools, monkeypatch):
+    split4 = 8  # every subtree of the tree through genus 4
+    # one worker walks the tree in this process, without a pool
+    for cpus, threads, g_max, workers in ((None, 64, 14, []), (3, 64, 14, [3]),
+                                          (16, 64, 4, [split4]), (16, 2, 14, [2])):
         monkeypatch.setattr(census.os, "cpu_count", lambda: cpus)
-        rows = run_census(CensusConfig(g_max=14, threads=threads, split_depth=4))
-        assert rows == rows14
-        assert seen.pop() == workers
+        rows = run_census(CensusConfig(g_max=g_max, threads=threads))
+        assert rows == rows14[:g_max]
+        assert [pool.max_workers for pool in inline_pools] == workers
+        inline_pools.clear()
+
+
+def test_split_sized_by_bounded_workers(rows14, inline_pools, monkeypatch):
+    monkeypatch.setattr(census.os, "cpu_count", lambda: 2)
+    rows = run_census(CensusConfig(g_max=14, threads=10**9))
+    assert rows == rows14
+    [pool] = inline_pools
+    assert pool.max_workers == 2
+    # 64 subtrees per worker; the last expansion adds at most g_max - 1
+    assert 128 <= len(pool.tasks) < 128 + 14
+
+
+@pytest.mark.parametrize("target", [1, 2, 128])
+def test_split_partitions_tree(target):
+    for g_hi in range(1, 15):
+        whole = census._walk((_ROOT, 1, g_hi, 8))
+        parts = [census._walk((node, 1, g_hi, 8)) for node in _split(g_hi, target)]
+        assert reduce(census._merge, parts) == whole, g_hi
+
+
+def test_split_balanced():
+    # a fixed depth-8 split leaves 89% of this tree under one node
+    sizes = [sum(map(sum, _histogram_walk(node, 1, 20)[0])) for node in _split(20, 128)]
+    assert max(sizes) <= sum(sizes) / 4
+
+
+def test_checkpoint_threads_agree(tmp_path, rows14):
+    ck = str(tmp_path / "census.ckpt")
+    assert run_census(CensusConfig(g_max=14, threads=2, checkpoint_path=ck)) == rows14
 
 
 def test_checkpoint_missing_file_is_empty(tmp_path):
@@ -340,9 +388,10 @@ def test_checkpoint_missing_file_is_empty(tmp_path):
 
 def test_checkpoint_foreign_header_rejected(tmp_path):
     path = tmp_path / "junk"
-    path.write_text('{"something": "else"}\n')
-    with pytest.raises(CheckpointMismatchError):
-        load_checkpoint(str(path), CensusConfig(g_max=5))
+    for header in ('{"something": "else"}', "5", "[]", '"x"', "null"):
+        path.write_text(header + "\n")
+        with pytest.raises(CheckpointMismatchError):
+            load_checkpoint(str(path), CensusConfig(g_max=5))
 
 
 def test_recurrence_check_instances(rows14):

@@ -216,6 +216,16 @@ def test_census_damaged_checkpoint_row_exit_code(tmp_path):
     assert "Traceback" not in r.stderr
 
 
+def test_census_non_utf8_checkpoint_exit_code(tmp_path):
+    ck = tmp_path / "census.ckpt"
+    ck.write_bytes(b"\xff\xfe{}\n")
+    r = run_cli("census", "--gmax", "4", "--out", str(tmp_path / "rows.csv"),
+                "--checkpoint", str(ck))
+    assert r.returncode == 6
+    assert "Traceback" not in r.stderr
+    assert ck.read_bytes() == b"\xff\xfe{}\n"
+
+
 def test_verify_suites_pass():
     for suite, gmax in (("fib", "12"), ("kunz", "9"), ("zhao", "9"),
                         ("weightmid", "9"), ("qbinom", "10"), ("recurrence", "10")):
