@@ -5,35 +5,40 @@ pole orders at a point of a smooth curve if |nH| > (2n-1)(g-1) for some
 n > 1, where nH is the n-fold sumset.  Since H lives in [1, F] the size
 bound |nH| <= n(F-1)+1 limits how far n is worth testing: failure at n
 requires n(2g-1-F) < g, which is unbounded only in the symmetric case
-F = 2g-1.  Sumsets are computed by shift-or on integer bitmaps.
+F = 2g-1.  Sumsets are integer bitmaps, built one gap at a time: adding
+a gap x to H gives k(H + {x}) = kH | (x + (k-1)(H + {x})), so the
+sumsets 1H .. kH of a set follow from those of the set without x by k
+shift-ors.  Folding the gaps in any order gives them from scratch, and
+the census carries them down the genus tree, where each child adds one
+gap to its parent.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .core import Semigroup
 
 
-def _mask_of(values: Iterable[int]) -> int:
-    mask = 0
-    for v in values:
-        if v < 0:
-            raise ValueError(f"gap values must be nonnegative, got {v}")
-        mask |= 1 << v
-    return mask
+def add_gap(sums: Iterable[int], x: int) -> Iterator[int]:
+    """The sumsets 1H', 2H', ... of H' = H + {x}, as bitmaps, from those
+    of H in the same order.  Lazy, so a caller can stop at any k."""
+    acc = 1  # 0H' = {0}
+    for s in sums:
+        acc = s | (acc << x)
+        yield acc
 
 
-def _sumset_mask(acc: int, mask: int) -> int:
-    """Sumset of two bitmap-encoded sets."""
-    out = 0
-    w = mask
-    while w:
-        lsb = w & -w
-        out |= acc << (lsb.bit_length() - 1)
-        w ^= lsb
-    return out
+def gap_sumsets(gaps: Iterable[int], k: int) -> tuple[int, ...]:
+    """The sumsets (1H, .., kH) of the set H of gaps as bitmaps, built by
+    adding the gaps one at a time."""
+    sums = (0,) * k
+    for x in gaps:
+        if x < 0:
+            raise ValueError(f"gap values must be nonnegative, got {x}")
+        sums = tuple(add_gap(sums, x))
+    return sums
 
 
 def _bits(mask: int) -> set[int]:
@@ -52,13 +57,7 @@ def nfold_sumset(gaps: Iterable[int], n: int) -> set[int]:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    mask = _mask_of(gaps)
-    if mask == 0:
-        return set()
-    acc = mask
-    for _ in range(n - 1):
-        acc = _sumset_mask(acc, mask)
-    return _bits(acc)
+    return _bits(gap_sumsets(gaps, n)[-1])
 
 
 def buchweitz_fails(s: Semigroup, n: int) -> bool:
@@ -67,7 +66,7 @@ def buchweitz_fails(s: Semigroup, n: int) -> bool:
         raise ValueError("the obstruction is only defined for n >= 2")
     if s.genus < 2:
         raise ValueError("the obstruction needs genus >= 2")
-    size = len(nfold_sumset(s.gaps(), n))
+    size = gap_sumsets(s.gaps(), n)[-1].bit_count()
     return size > (2 * n - 1) * (s.genus - 1)
 
 
@@ -124,14 +123,17 @@ class BuchweitzReport:
 
 
 DEFAULT_N_CAP = 8
+# sumsets are built for every n up to the cap; every finite horizon
+# through the genus cap of 30 is at most 29
+MAX_N_CAP = 64
 
 
 def classify_buchweitz(s: Semigroup, n_cap: int = DEFAULT_N_CAP) -> BuchweitzReport:
     """Run the obstruction over every n the size bound leaves open, up
     to n_cap.  Genus 0 and 1 cannot fail and report an empty test list.
     """
-    if n_cap < 2:
-        raise ValueError("n_cap must be at least 2")
+    if not 2 <= n_cap <= MAX_N_CAP:
+        raise ValueError(f"n_cap must be between 2 and {MAX_N_CAP}")
     g = s.genus
     if g < 2:
         return BuchweitzReport(g, 1, n_cap, (), False, None, False)
@@ -144,11 +146,9 @@ def classify_buchweitz(s: Semigroup, n_cap: int = DEFAULT_N_CAP) -> BuchweitzRep
         truncated = horizon > n_cap
     tests = []
     first = None
-    mask = _mask_of(s.gaps())
-    acc = mask
+    sums = gap_sumsets(s.gaps(), n_hi)
     for n in range(2, n_hi + 1):
-        acc = _sumset_mask(acc, mask)
-        size = acc.bit_count()
+        size = sums[n - 1].bit_count()
         threshold = (2 * n - 1) * (g - 1)
         fails = size > threshold
         tests.append(BuchweitzTest(n, size, threshold, fails))

@@ -24,6 +24,7 @@ from fractions import Fraction
 from functools import reduce
 from typing import IO, Iterable, Iterator, Optional, Sequence, Union
 
+from .buchweitz import MAX_N_CAP, add_gap, gap_sumsets
 from .enumeration import (
     DEFAULT_GENUS_CAP,
     ResourceLimitError,
@@ -80,8 +81,8 @@ class CensusConfig:
             raise ValueError("g_max must be at least 1")
         if not isinstance(self.epsilon, Fraction) or self.epsilon <= 0:
             raise ValueError("epsilon must be a positive Fraction")
-        if self.nb_n_cap < 2:
-            raise ValueError("nb_n_cap must be at least 2")
+        if not 2 <= self.nb_n_cap <= MAX_N_CAP:
+            raise ValueError(f"nb_n_cap must be between 2 and {MAX_N_CAP}")
         if self.m_threshold < 1:
             raise ValueError("m_threshold must be positive")
         if not isinstance(self.genus_mult_ratio, Fraction) or self.genus_mult_ratio <= 0:
@@ -174,52 +175,45 @@ class CensusRow:
         )
 
 
-def _sumset_counter(cap: int, g_hi: int):
+def _sumset_counter(cap: int, g_lo: int, g_hi: int):
     """Per-genus [nb2, nb_any, nb_capped] counters, and the walk's visit
-    callback that fills them: it tests |nH| > (2n-1)(g-1) on each gap
-    set H for n = 2 .. min(horizon, cap), where the size bound leaves
-    n >= 2 in play only for F close to 2g-1."""
+    callback that fills them: it tests |nH| > (2n-1)(g-1) on the gap set
+    H of each node of genus g_lo .. g_hi for n = 2 .. min(horizon, cap),
+    where the size bound leaves n >= 2 in play only for F close to
+    2g-1.  The sumsets (1H .. capH) are carried down the tree: a child
+    adds the gap F to its parent's, and a subtree root folds its gaps.
+    A node without children builds its sumsets only up to its own n and
+    stops at the first failure."""
     nb = [[0, 0, 0] for _ in range(g_hi + 1)]
 
-    def visit(mask: int, f: int, g: int) -> None:
+    def visit(parent: Optional[tuple], mask: int, f: int, g: int, leaf: bool):
         gm1 = g - 1
-        if gm1 == 0:
-            return
-        d = 2 * g - 1 - f
-        if d:
-            horizon = gm1 // d
-            if horizon < 2:
-                return
-            n_hi = horizon if horizon < cap else cap
-            capped = horizon > cap
+        d = gm1 + g - f
+        # F = 2g-1 leaves every n in play: a horizon past the cap
+        horizon = gm1 // d if d else cap + 1
+        tested = horizon >= 2 and gm1 >= 1 and g >= g_lo
+        if leaf and not tested:
+            return None
+        if parent is None:
+            sums = gap_sumsets((x for x in range(1, f + 1) if not mask >> x & 1), cap)
         else:
-            n_hi = cap
-            capped = True
+            sums = add_gap(parent, f)
+            if not leaf:
+                sums = tuple(sums)
+        if not tested:
+            return sums
         counts = nb[g]
-        gapmask = ~mask & ((1 << (f + 1)) - 1)
-        acc = 0
-        bits = gapmask
-        while bits:
-            lsb = bits & -bits
-            acc |= gapmask << (lsb.bit_length() - 1)
-            bits ^= lsb
-        if acc.bit_count() > 3 * gm1:
-            counts[0] += 1
-            counts[1] += 1
-            return
-        for n in range(3, n_hi + 1):
-            nxt = 0
-            bits = gapmask
-            while bits:
-                lsb = bits & -bits
-                nxt |= acc << (lsb.bit_length() - 1)
-                bits ^= lsb
-            acc = nxt
-            if acc.bit_count() > (2 * n - 1) * gm1:
+        grown = iter(sums)
+        next(grown)  # 1H
+        for n, acc in zip(range(2, min(horizon, cap) + 1), grown):
+            if acc.bit_count() > (n + n - 1) * gm1:
                 counts[1] += 1
-                return
-        if capped:
+                if n == 2:
+                    counts[0] += 1
+                return sums
+        if horizon > cap:
             counts[2] += 1
+        return sums
 
     return nb, visit
 
@@ -228,7 +222,7 @@ def _walk(task: tuple) -> tuple:
     """(mf, wf, nb) per-genus counts of one subtree; task is
     (raw node, g_lo, g_hi, sumset n cap)."""
     node, g_lo, g_hi, cap = task
-    nb, visit = _sumset_counter(cap, g_hi)
+    nb, visit = _sumset_counter(cap, g_lo, g_hi)
     mf, wf = _histogram_walk(node, g_lo, g_hi, visit)
     return mf, wf, nb
 

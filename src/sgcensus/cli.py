@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 from . import census as census_mod
 from . import checks, enumeration
-from .buchweitz import classify_buchweitz
+from .buchweitz import MAX_N_CAP, classify_buchweitz
 from .census import (
     CensusConfig,
     CheckpointMismatchError,
@@ -86,8 +86,8 @@ def _fraction_arg(text: str) -> Fraction:
 
 def _nb_cap_arg(text: str) -> int:
     value = int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError("cap must be at least 2")
+    if not 2 <= value <= MAX_N_CAP:
+        raise argparse.ArgumentTypeError(f"cap must be between 2 and {MAX_N_CAP}")
     return value
 
 

@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import combinations
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 from .core import Semigroup
 from .partitions import GOLDEN_RATIO
@@ -169,7 +169,7 @@ def _histogram_walk(
     node: RawNode,
     g_lo: int,
     g_hi: int,
-    visit: Optional[Callable[[int, int, int], None]] = None,
+    visit: Optional[Callable[[Any, int, int, int, bool], Any]] = None,
 ) -> tuple[list[list[int]], list[list[int]]]:
     """Per-genus histograms of the subtree under a raw node, counting
     its nodes of genus g_lo .. g_hi (g_lo >= 1).
@@ -178,13 +178,23 @@ def _histogram_walk(
     mf[g][2g*m + F] counts by multiplicity and Frobenius number, and
     wf[g][2w + (F < 2m)] by weight, split on F < 2m.  Their shapes
     depend on the genus alone, so walks of different subtrees add
-    elementwise.  visit(mask, F, g), when given, runs once per counted
-    node with its membership bitmap over [0, F].  Nodes of genus g_hi
-    are tallied from their parent without building generator lists.
+    elementwise.  Nodes of genus g_hi are tallied from their parent
+    without building generator lists.
+
+    visit(carried, mask, F, g, leaf), when given, runs once per node of
+    the subtree through g_hi, counted or not, with its membership bitmap
+    over [0, F].  What it returns at a node is carried to its children:
+    carried is the value returned at the parent, None at the subtree
+    root.  leaf is true only at nodes whose children the walk does not
+    visit, so that visit can skip work kept for them.
     """
     mf = [[0] * (2 * g * (g + 2)) for g in range(g_hi + 1)]
     wf = [[0] * (g * (g - 1) + 2) for g in range(g_hi + 1)]
     tri = [g * (g + 1) // 2 for g in range(g_hi + 1)]
+    # carried[g + 1] holds the value visit returned at the last node of
+    # genus g, which in depth-first order is the parent of the next
+    # node of genus g + 1
+    carried: list[Any] = [None] * (g_hi + 2)
     last = g_hi - 1
     stack: list[RawNode] = [node]
     pop = stack.pop
@@ -196,8 +206,8 @@ def _histogram_walk(
             mf[g][2 * g * m + frob] += 1
             w = gap_sum - tri[g]
             wf[g][w + w + (frob < m + m)] += 1
-            if visit is not None:
-                visit(mask, frob, g)
+        if visit is not None:
+            carried[g + 1] = visit(carried[g], mask, frob, g, not gens)
         if g < last:
             extend(_raw_children(node))
         elif g == last:
@@ -213,7 +223,8 @@ def _histogram_walk(
                 wf1[w + w + (x < m1 + m1)] += 1
                 if visit is not None:
                     ext = x - f1
-                    visit((mask | (((1 << ext) - 1) << f1)) if ext else mask, x, g1)
+                    visit(carried[g1], (mask | (((1 << ext) - 1) << f1)) if ext else mask,
+                          x, g1, True)
     return mf, wf
 
 

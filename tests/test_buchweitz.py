@@ -1,6 +1,6 @@
 """Sumset machinery and the gap-count obstruction tests."""
 
-from itertools import product
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
@@ -8,19 +8,24 @@ from hypothesis import strategies as st
 
 from sgcensus.buchweitz import (
     DEFAULT_N_CAP,
+    MAX_N_CAP,
+    _bits,
+    add_gap,
     buchweitz_fails,
     buchweitz_horizon,
     classify_buchweitz,
+    gap_sumsets,
     nfold_sumset,
 )
 from sgcensus.core import Semigroup
+from sgcensus.enumeration import children, root
 
 # the classical genus-16 obstruction witness
 WITNESS_GAPS = tuple(range(1, 13)) + (19, 21, 24, 25)
 
 
 def brute_sumset(values, n):
-    return {sum(t) for t in product(sorted(values), repeat=n)}
+    return {sum(t) for t in combinations_with_replacement(sorted(values), n)}
 
 
 def test_nfold_sumset_basics():
@@ -39,6 +44,23 @@ def test_nfold_sumset_basics():
 )
 def test_nfold_sumset_matches_brute_force(values, n):
     assert nfold_sumset(values, n) == brute_sumset(values, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=14), st.data())
+def test_add_gap_along_tree_descents(target, data):
+    # each child adds its Frobenius number, a gap above all others
+    node, sums = root(), (0,) * 4
+    while node.semigroup.genus < target and children(node):
+        node = data.draw(st.sampled_from(children(node)))
+        sums = tuple(add_gap(sums, node.semigroup.frobenius))
+        gaps = node.semigroup.gaps()
+        assert [_bits(s) for s in sums] == [brute_sumset(gaps, k) for k in range(1, 5)]
+        assert gap_sumsets(data.draw(st.permutations(gaps)), 4) == sums
+        with_zero = tuple(add_gap(sums, 0))
+        assert [_bits(s) for s in with_zero] == [
+            brute_sumset(gaps + (0,), k) for k in range(1, 5)]
+        assert gap_sumsets((0,) + gaps, 4) == with_zero
 
 
 def test_witness_fails_at_two():
@@ -119,5 +141,10 @@ def test_classify_incremental_matches_direct():
 
 
 def test_classify_rejects_tiny_cap():
-    with pytest.raises(ValueError):
-        classify_buchweitz(Semigroup.from_gaps([1, 2]), n_cap=1)
+    for n_cap in (1, MAX_N_CAP + 1, 10**9):
+        with pytest.raises(ValueError):
+            classify_buchweitz(Semigroup.from_gaps([1, 2]), n_cap=n_cap)
+    # F = 2g-1 tests every n up to the cap
+    rep = classify_buchweitz(Semigroup.from_gaps([1, 3]), n_cap=MAX_N_CAP)
+    assert len(rep.tests) == MAX_N_CAP - 1
+    assert rep.capped

@@ -119,6 +119,13 @@ def test_census_matches_oracle_default_config(tree16):
     assert_rows_match(run_census(cfg), expected)
 
 
+@pytest.mark.parametrize("nb_n_cap", [2, 8, 9, 64])
+def test_census_matches_oracle_at_caps(tree16, nb_n_cap):
+    # F = 2g-2 at genus 10 has horizon 9: capped at 8, tested in full at 9
+    cfg = CensusConfig(g_max=14, nb_n_cap=nb_n_cap)
+    assert_rows_match(run_census(cfg), oracle_rows(tree16, cfg))
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     # small denominators put cells exactly on the window edges
@@ -143,6 +150,8 @@ def test_config_validation():
         CensusConfig(g_max=5, epsilon=Fraction(0))
     with pytest.raises(ValueError):
         CensusConfig(g_max=5, nb_n_cap=1)
+    with pytest.raises(ValueError):
+        CensusConfig(g_max=5, nb_n_cap=65)
     with pytest.raises(ValueError):
         CensusConfig(g_max=5, threads=0)
 

@@ -1,5 +1,6 @@
 """End-to-end command-line behaviour, including exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -18,14 +19,14 @@ WITNESS = "1..12,19,21,24,25"
 PACKAGE_ROOT = os.path.dirname(os.path.dirname(cli.__file__))
 
 
-def run_cli(*args, env_extra=None):
+def run_cli(*args, env_extra=None, timeout=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (PACKAGE_ROOT, env.get("PYTHONPATH"))))
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
         [sys.executable, "-m", "sgcensus", *args],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=env, timeout=timeout,
     )
 
 
@@ -111,6 +112,18 @@ def test_classify_argument_errors():
     assert run_cli("classify", "--gaps", "1,2", "--nb-cap", "1").returncode == 2
 
 
+def test_absurd_nb_cap_refused_at_once(tmp_path):
+    # F = 2g-1 leaves every n up to the cap in play
+    r = run_cli("classify", "--gens", "2,41", "--nb-cap", "1000000000", timeout=20)
+    assert r.returncode == 2
+    assert "cap must be between 2 and 64" in r.stderr
+    out = tmp_path / "rows.csv"
+    assert run_cli("census", "--gmax", "3", "--out", str(out), "--nb-cap", "65").returncode == 2
+    assert not out.exists()
+    top = run_cli("classify", "--gens", "2,41", "--nb-cap", "64", timeout=20)
+    assert json.loads(top.stdout)["buchweitz"]["capped"] is True
+
+
 def test_census_csv_and_summary(tmp_path):
     out = tmp_path / "rows.csv"
     r = run_cli("census", "--gmax", "8", "--out", str(out))
@@ -142,6 +155,26 @@ def test_census_threads_deterministic(tmp_path):
     run_cli("census", "--gmax", "12", "--out", str(one), "--threads", "1")
     run_cli("census", "--gmax", "12", "--out", str(four), "--threads", "4")
     assert one.read_bytes() == four.read_bytes()
+
+
+# sha256 of the CSV that `sgcensus census --gmax 20` writes, taken
+# before the gap sumsets were carried down the tree
+CENSUS20_SHA256 = "ffc894856dfd3920ec4667b12973a9ed2c9e7afc9430f2dad6c012f248dff8f7"
+CENSUS20_CAP3_SHA256 = "259b6e389427d016417356e7fe0403ef19100f89937529548068733dd35c97cc"
+
+
+@pytest.mark.parametrize("args, digest", [
+    (("--threads", "1"), CENSUS20_SHA256),
+    (("--threads", "2"), CENSUS20_SHA256),
+    (("--threads", "2", "--checkpoint", "census.ckpt"), CENSUS20_SHA256),
+    (("--nb-cap", "3"), CENSUS20_CAP3_SHA256),
+], ids=["threads1", "threads2", "checkpoint", "nb-cap-3"])
+def test_census_output_pinned(tmp_path, args, digest):
+    out = tmp_path / "rows.csv"
+    args = [str(tmp_path / a) if a.endswith(".ckpt") else a for a in args]
+    r = run_cli("census", "--gmax", "20", "--out", str(out), *args)
+    assert r.returncode == 0, r.stderr
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_census_threads_env_default(tmp_path):
