@@ -18,7 +18,6 @@ import contextlib
 import hashlib
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
@@ -245,6 +244,10 @@ def _census_counts(cfg: CensusConfig, g_lo: int, g_hi: int) -> tuple:
              for node in _split(g_hi, 1 if workers == 1 else 64 * workers)]
     if len(tasks) == 1:
         return _walk(tasks[0])
+    # imported here: loading multiprocessing costs memory in every
+    # process that never starts a pool
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+
     with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
         # merged as they finish, so that finished results do not wait
         # in memory behind the largest subtree
@@ -476,25 +479,3 @@ def komeda_compare(rows: Iterable[CensusRow]) -> list[dict]:
         if r.nb2 != nb2_pub:
             diffs.append({"g": g, "field": "nb2", "expected": nb2_pub, "actual": r.nb2})
     return diffs
-
-
-def ratio_report(rows: Sequence[CensusRow]) -> list[dict]:
-    """Per-genus density columns.  Trends only; nothing asymptotic is
-    claimed or asserted here."""
-    if not rows:
-        raise ValueError("rows must be nonempty")
-    out = []
-    for r in rows:
-        n = r.n
-        out.append({
-            "g": r.g,
-            "nb2_over_n": r.nb2 / n,
-            "nb_any_over_n": r.nb_any / n,
-            "a_eps_over_n": r.a_eps / n,
-            "phi_eps_over_n": r.phi_eps / n,
-            "q_over_n": r.q_eh / n,
-            "r_over_n": r.r_2g3m / n,
-            "l_over_n": r.high / n,
-            "n_phi_ratio": r.n_phi_ratio,
-        })
-    return out

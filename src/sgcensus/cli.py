@@ -14,6 +14,7 @@ mismatch.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -99,6 +100,11 @@ def _default_threads() -> int:
         return 1
 
 
+def _threads(args: argparse.Namespace) -> int:
+    """--threads, or SGCENSUS_THREADS read at the time of the call."""
+    return _default_threads() if args.threads is None else args.threads
+
+
 def _emit_line(s: Semigroup, mode: str) -> str:
     if mode == "gaps":
         return ",".join(map(str, s.gaps()))
@@ -162,7 +168,7 @@ def cmd_census(args: argparse.Namespace) -> int:
         g_max=args.gmax,
         epsilon=args.eps,
         nb_n_cap=args.nb_cap,
-        threads=args.threads,
+        threads=_threads(args),
         checkpoint_path=args.checkpoint,
     )
     write = write_csv if args.format == "csv" else write_jsonl
@@ -222,7 +228,7 @@ def _run_suite(suite: str, g_max: int, threads: int) -> list:
 def cmd_verify(args: argparse.Namespace) -> int:
     g_max = args.gmax if args.gmax is not None else _SUITE_DEFAULT_GMAX[args.suite]
     try:
-        failures = _run_suite(args.suite, g_max, args.threads)
+        failures = _run_suite(args.suite, g_max, _threads(args))
     except ValueError as exc:
         print(json.dumps({"suite": args.suite, "g_max": g_max, "ok": False,
                           "error": str(exc)}))
@@ -264,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cen.add_argument("--gmax", type=int, required=True)
     p_cen.add_argument("--out", required=True)
     p_cen.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-    p_cen.add_argument("--threads", type=int, default=_default_threads())
+    p_cen.add_argument("--threads", type=int, default=None)
     p_cen.add_argument("--checkpoint")
     p_cen.add_argument("--eps", type=_fraction_arg, default=census_mod.DEFAULT_EPSILON)
     p_cen.add_argument("--nb-cap", type=_nb_cap_arg, default=8)
@@ -273,15 +279,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run an exhaustive cross-check suite")
     p_ver.add_argument("suite", choices=sorted(_SUITE_DEFAULT_GMAX))
     p_ver.add_argument("--gmax", type=int, default=None)
-    p_ver.add_argument("--threads", type=int, default=_default_threads())
+    p_ver.add_argument("--threads", type=int, default=None)
     p_ver.set_defaults(func=cmd_verify)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses: built on the first call, then kept for
+    the life of the process."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except InvalidGapSetError as exc:

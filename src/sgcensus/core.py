@@ -135,16 +135,20 @@ class Semigroup:
                     f"gaps must be strictly increasing, got {a} before {b}"
                 )
         frob = gap_list[-1]
-        mask = (1 << (frob + 2)) - 1
+        gap_bits = 0
         for a in gap_list:
-            mask &= ~(1 << a)
-        # closure check over pairs of small members
-        for a in range(1, frob // 2 + 1):
-            if not (mask >> a) & 1:
-                continue
-            for b in range(a, frob - a + 1):
-                if (mask >> b) & 1 and not (mask >> (a + b)) & 1:
-                    raise InvalidGapSetError(a, b)
+            gap_bits |= 1 << a
+        mask = ((1 << (frob + 2)) - 1) ^ gap_bits
+        # closure: for each member a <= F/2, the members b >= a shifted
+        # up by a meet no gap (sums above F cannot); the lowest hit
+        # under the smallest such a is the witness pair
+        small = mask & ((1 << (frob // 2 + 1)) - 2)
+        while small:
+            a = (small & -small).bit_length() - 1
+            hit = (mask >> a << 2 * a) & gap_bits
+            if hit:
+                raise InvalidGapSetError(a, (hit & -hit).bit_length() - 1 - a)
+            small &= small - 1
         low = mask & ~1
         m = (low & -low).bit_length() - 1
         return cls(mask, m, frob, len(gap_list))

@@ -1,5 +1,6 @@
 """Census rows, output formats, checkpointing, and the published table."""
 
+import concurrent.futures
 import dataclasses
 import io
 import json
@@ -23,7 +24,6 @@ from sgcensus.census import (
     recurrence_check,
     komeda_compare,
     load_checkpoint,
-    ratio_report,
     run_census,
     write_csv,
     write_jsonl,
@@ -345,7 +345,7 @@ def inline_pools(monkeypatch):
             future.set_result(fn(task))
             return future
 
-    monkeypatch.setattr(census, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     return pools
 
 
@@ -433,17 +433,3 @@ def test_komeda_compare_flags_perturbation(census25):
             "actual": KOMEDA_TABLE[20][1] + 1,
         }
     ]
-
-
-def test_ratio_report_schema(rows14):
-    report = ratio_report(rows14)
-    assert len(report) == 14
-    keys = {
-        "g", "nb2_over_n", "nb_any_over_n", "a_eps_over_n", "phi_eps_over_n",
-        "q_over_n", "r_over_n", "l_over_n", "n_phi_ratio",
-    }
-    for entry in report:
-        assert set(entry) == keys
-    assert report[0]["g"] == 1
-    with pytest.raises(ValueError):
-        ratio_report([])

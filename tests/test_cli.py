@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from sgcensus import cli
+from sgcensus import census, cli
 from sgcensus.census import CheckpointMismatchError
 from sgcensus.cli import parse_int_list
 
@@ -182,6 +182,28 @@ def test_census_threads_env_default(tmp_path):
     r = run_cli("census", "--gmax", "4", "--out", str(out),
                 env_extra={"SGCENSUS_THREADS": "3"})
     assert json.loads(r.stdout)["threads"] == 3
+
+
+def test_census_threads_env_read_per_call(tmp_path, monkeypatch, capsys):
+    # one worker walks in this process, whatever the thread count
+    monkeypatch.setattr(census.os, "cpu_count", lambda: 1)
+    seen = []
+    for env, flags in (("1", ["--threads", "2"]), ("1", []), ("3", [])):
+        monkeypatch.setenv(cli.THREADS_ENV, env)
+        out = tmp_path / f"rows{len(seen)}.csv"
+        assert cli.main(["census", "--gmax", "4", "--out", str(out), *flags]) == 0
+        seen.append(json.loads(capsys.readouterr().out)["threads"])
+    assert seen == [2, 1, 3]
+
+
+def test_import_loads_no_pool_and_builds_no_parser():
+    code = ("import sys, sgcensus.cli; "
+            "print([m for m in ('multiprocessing', 'concurrent.futures.process') "
+            "if m in sys.modules], sgcensus.cli._parser.cache_info().currsize)")
+    env = dict(os.environ, PYTHONPATH=PACKAGE_ROOT)
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[] 0"
 
 
 def test_census_resume_and_mismatch(tmp_path):

@@ -1,6 +1,8 @@
 """Semigroup construction, invariants, and conversions."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sgcensus.core import (
     InfiniteComplementError,
@@ -66,6 +68,43 @@ def test_from_gaps_rejects_open_complement():
         Semigroup.from_gaps([1, 2, 5, 8])
     # the witness names a concrete sum landing on a gap
     assert "4 + 4 = 8" in str(exc.value)
+
+
+def pair_loop_witness(gaps):
+    """The first pair a <= b of nonzero members, by a then b, whose
+    sum is a gap; None when the complement is closed."""
+    gap_set = set(gaps)
+    members = [x for x in range(1, max(gaps) + 1) if x not in gap_set]
+    for a in members:
+        for b in members:
+            if a <= b and a + b in gap_set:
+                return (a, b)
+    return None
+
+
+@st.composite
+def gap_sets(draw):
+    """Every integer below a drawn multiplicity, then any of the
+    integers up to F, F included; closed and open complements both
+    come up often."""
+    frob = draw(st.integers(min_value=1, max_value=60))
+    m = draw(st.integers(min_value=1, max_value=frob))
+    rest = draw(st.sets(st.integers(min_value=m, max_value=frob)))
+    return sorted(set(range(1, m)) | rest | {frob})
+
+
+@given(gap_sets())
+def test_from_gaps_matches_pair_loop(gaps):
+    witness = pair_loop_witness(gaps)
+    if witness is not None:
+        with pytest.raises(InvalidGapSetError) as exc:
+            Semigroup.from_gaps(gaps)
+        assert exc.value.witness == witness
+        return
+    s = Semigroup.from_gaps(gaps)
+    assert s.gaps() == tuple(gaps)
+    assert (s.frobenius, s.genus) == (gaps[-1], len(gaps))
+    assert s.multiplicity == min(set(range(1, gaps[-1] + 2)) - set(gaps))
 
 
 def test_from_gaps_rejects_nonpositive():
