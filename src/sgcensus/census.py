@@ -5,8 +5,9 @@ bound, semigroups by (multiplicity, Frobenius number) and by weight,
 and runs the sumset-obstruction test within a tested n-range at each
 node.  The rows are read off those counts afterwards: the
 Frobenius-class split, sumset-obstruction failures, the analytic window
-flags, weight extremes, and the multiplicity histogram.  Rows can be written as CSV or JSON lines, and
-a checkpoint file allows an interrupted run to resume per genus.
+flags, weight extremes, and the multiplicity histogram.  Rows can be
+written as CSV or JSON lines, and a checkpoint file keeps the rows of
+finished runs, so that a longer run walks only the genera past them.
 
 Counts for g = 16..25 are cross-checked against the published table
 of totals and n = 2 obstruction failures.
@@ -25,8 +26,7 @@ from typing import IO, Iterable, Iterator, Optional, Sequence, Union
 
 from .buchweitz import MAX_N_CAP, add_gap, gap_sumsets
 from .enumeration import (
-    DEFAULT_GENUS_CAP,
-    ResourceLimitError,
+    _check_cap,
     _histogram_walk,
     _split,
     mf_cells,
@@ -53,11 +53,20 @@ DEFAULT_EPSILON = Fraction(1, 21)
 DEFAULT_M_THRESHOLD = 420
 DEFAULT_GENUS_MULT_RATIO = Fraction(13667, 10000)
 
-CSV_HEADER = (
-    "g,N,ordinary,low,mid,high,nb2,nb_any,nb_capped,q_eh,r_2g3m,a_eps,"
-    "b_m420,c_ratio,nstar_eps,phi_eps,p_eps,y_beta1,z_beta2,w_min,w_max,"
-    "n_phi_ratio"
-)
+# the columns that count semigroups of one genus, each between 0 and N
+_COUNTS = ("ordinary", "low", "mid", "high", "nb2", "nb_any", "nb_capped", "q_eh",
+           "r_2g3m", "a_eps", "b_m420", "c_ratio", "nstar_eps", "phi_eps", "p_eps",
+           "y_beta1", "z_beta2")
+# a row's columns by output name, in CSV and JSON order; each names its
+# CensusRow field, but for N, whose field is n.  The derived n_phi_ratio
+# follows them, and then in JSON the multiplicity histogram.
+_COLUMNS = ("g", "N") + _COUNTS + ("w_min", "w_max")
+
+CSV_HEADER = ",".join(_COLUMNS + ("n_phi_ratio",))
+
+
+def _field(column: str) -> str:
+    return "n" if column == "N" else column
 
 
 class CheckpointMismatchError(Exception):
@@ -69,9 +78,6 @@ class CensusConfig:
     g_max: int
     epsilon: Fraction = DEFAULT_EPSILON
     nb_n_cap: int = 8
-    m_threshold: int = DEFAULT_M_THRESHOLD
-    genus_mult_ratio: Fraction = DEFAULT_GENUS_MULT_RATIO
-    weight_beta_flags: bool = True
     threads: int = 1
     checkpoint_path: Optional[str] = None
 
@@ -82,26 +88,25 @@ class CensusConfig:
             raise ValueError("epsilon must be a positive Fraction")
         if not 2 <= self.nb_n_cap <= MAX_N_CAP:
             raise ValueError(f"nb_n_cap must be between 2 and {MAX_N_CAP}")
-        if self.m_threshold < 1:
-            raise ValueError("m_threshold must be positive")
-        if not isinstance(self.genus_mult_ratio, Fraction) or self.genus_mult_ratio <= 0:
-            raise ValueError("genus_mult_ratio must be a positive Fraction")
         if self.threads < 1:
             raise ValueError("threads must be at least 1")
 
+    def row_settings(self) -> dict:
+        """The settings that change row values, the fixed ones included
+        so that hashes of earlier versions, which could set them, still
+        match.  g_max, threads and paths are free to differ across a
+        resume."""
+        return {
+            "epsilon": str(self.epsilon),
+            "nb_n_cap": self.nb_n_cap,
+            "m_threshold": DEFAULT_M_THRESHOLD,
+            "genus_mult_ratio": str(DEFAULT_GENUS_MULT_RATIO),
+            "weight_beta_flags": True,
+        }
+
     def config_hash(self) -> str:
-        """Hash of the fields that change row values.  g_max, threads
-        and paths are free to differ across a resume."""
-        payload = json.dumps(
-            {
-                "epsilon": str(self.epsilon),
-                "nb_n_cap": self.nb_n_cap,
-                "m_threshold": self.m_threshold,
-                "genus_mult_ratio": str(self.genus_mult_ratio),
-                "weight_beta_flags": self.weight_beta_flags,
-            },
-            sort_keys=True,
-        )
+        """Hash of the row settings, which a checkpoint must share."""
+        payload = json.dumps(self.row_settings(), sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
@@ -135,43 +140,17 @@ class CensusRow:
         return self.n * GOLDEN_RATIO ** (-self.g)
 
     def csv_values(self) -> list[str]:
-        return [
-            str(v)
-            for v in (
-                self.g, self.n, self.ordinary, self.low, self.mid, self.high,
-                self.nb2, self.nb_any, self.nb_capped, self.q_eh, self.r_2g3m,
-                self.a_eps, self.b_m420, self.c_ratio, self.nstar_eps,
-                self.phi_eps, self.p_eps, self.y_beta1, self.z_beta2,
-                self.w_min, self.w_max,
-            )
-        ] + [f"{self.n_phi_ratio:.6f}"]
+        return [str(getattr(self, _field(c))) for c in _COLUMNS] + [f"{self.n_phi_ratio:.6f}"]
 
     def as_dict(self) -> dict:
-        return {
-            "g": self.g, "N": self.n, "ordinary": self.ordinary,
-            "low": self.low, "mid": self.mid, "high": self.high,
-            "nb2": self.nb2, "nb_any": self.nb_any,
-            "nb_capped": self.nb_capped, "q_eh": self.q_eh,
-            "r_2g3m": self.r_2g3m, "a_eps": self.a_eps,
-            "b_m420": self.b_m420, "c_ratio": self.c_ratio,
-            "nstar_eps": self.nstar_eps, "phi_eps": self.phi_eps,
-            "p_eps": self.p_eps, "y_beta1": self.y_beta1,
-            "z_beta2": self.z_beta2, "w_min": self.w_min,
-            "w_max": self.w_max, "n_phi_ratio": round(self.n_phi_ratio, 6),
+        return {c: getattr(self, _field(c)) for c in _COLUMNS} | {
+            "n_phi_ratio": round(self.n_phi_ratio, 6),
             "mult_hist": list(self.mult_hist),
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "CensusRow":
-        return cls(
-            g=d["g"], n=d["N"], ordinary=d["ordinary"], low=d["low"],
-            mid=d["mid"], high=d["high"], nb2=d["nb2"], nb_any=d["nb_any"],
-            nb_capped=d["nb_capped"], q_eh=d["q_eh"], r_2g3m=d["r_2g3m"],
-            a_eps=d["a_eps"], b_m420=d["b_m420"], c_ratio=d["c_ratio"],
-            nstar_eps=d["nstar_eps"], phi_eps=d["phi_eps"], p_eps=d["p_eps"],
-            y_beta1=d["y_beta1"], z_beta2=d["z_beta2"], w_min=d["w_min"],
-            w_max=d["w_max"], mult_hist=tuple(d["mult_hist"]),
-        )
+        return cls(**{_field(c): d[c] for c in _COLUMNS}, mult_hist=tuple(d["mult_hist"]))
 
 
 def _sumset_counter(cap: int, g_lo: int, g_hi: int):
@@ -255,26 +234,20 @@ def _census_counts(cfg: CensusConfig, g_lo: int, g_hi: int) -> tuple:
         return reduce(_merge, (future.result() for future in done))
 
 
-# the CensusRow counts read off the histograms
-_HIST_COLUMNS = ("n", "ordinary", "low", "mid", "high", "q_eh", "r_2g3m", "a_eps",
-                 "b_m420", "c_ratio", "nstar_eps", "phi_eps", "p_eps", "y_beta1",
-                 "z_beta2")
-
-
 def _rows_from_hist(cfg: CensusConfig, counts: tuple, g_lo: int, g_hi: int) -> list[CensusRow]:
     """Rows for genus g_lo .. g_hi.  Every column but the sumset ones
     is a function of (g, m, F, w), read here off the walk's histograms,
-    so the window and threshold settings act only after the walk."""
+    so the window setting acts only after the walk."""
     mf, wf, nb = counts
     e = cfg.epsilon
     # F > (2 - eps) m and F < (2 + eps) m, cross-multiplied by q
     q = e.denominator
     lo, hi = 2 * q - e.numerator, 2 * q + e.numerator
-    rnum, rden = cfg.genus_mult_ratio.numerator, cfg.genus_mult_ratio.denominator
+    rnum, rden = DEFAULT_GENUS_MULT_RATIO.numerator, DEFAULT_GENUS_MULT_RATIO.denominator
     eps = float(e)
     rows = []
     for g in range(g_lo, g_hi + 1):
-        t = dict.fromkeys(_HIST_COLUMNS, 0)
+        t = dict.fromkeys(("n",) + _COUNTS, 0)
         phi_lo, phi_hi = (GAMMA - eps) * g, (GAMMA + eps) * g
         mult: dict[int, int] = {}
         for m, f, c in mf_cells(g, mf[g]):
@@ -287,7 +260,7 @@ def _rows_from_hist(cfg: CensusConfig, counts: tuple, g_lo: int, g_hi: int) -> l
                 ("r_2g3m", 2 * g < 3 * m),
                 ("a_eps", above and below),
                 ("nstar_eps", not above),
-                ("b_m420", m < cfg.m_threshold),
+                ("b_m420", m < DEFAULT_M_THRESHOLD),
                 ("c_ratio", g * rden < rnum * m),
                 ("phi_eps", phi_lo < m < phi_hi),
                 ("p_eps", f < 3 * m and hi * m < q * f),
@@ -297,13 +270,11 @@ def _rows_from_hist(cfg: CensusConfig, counts: tuple, g_lo: int, g_hi: int) -> l
         y_thr, z_thr = (BETA1 - eps) * g * g, (BETA2 + eps) * g * g
         for w, low, c in weights:
             t["q_eh"] += c * (low and w < g - 1)
-            if cfg.weight_beta_flags:
-                t["y_beta1"] += c * (w <= y_thr)
-                t["z_beta2"] += c * (w >= z_thr)
-        nb2, nb_any, nb_capped = nb[g]
+            t["y_beta1"] += c * (w <= y_thr)
+            t["z_beta2"] += c * (w >= z_thr)
+        t["nb2"], t["nb_any"], t["nb_capped"] = nb[g]
         row = CensusRow(
-            g=g, nb2=nb2, nb_any=nb_any, nb_capped=nb_capped,
-            w_min=weights[0][0], w_max=weights[-1][0],
+            g=g, w_min=weights[0][0], w_max=weights[-1][0],
             mult_hist=tuple(mult.get(m, 0) for m in range(max(mult) + 1)), **t,
         )
         _check_row(row)
@@ -319,9 +290,7 @@ def _check_row(r: CensusRow) -> None:
         sum(r.mult_hist) == r.n,
         0 <= r.w_min <= r.w_max,
     ]
-    for name in ("nb_capped", "r_2g3m", "a_eps", "b_m420", "c_ratio",
-                 "nstar_eps", "phi_eps", "p_eps", "y_beta1", "z_beta2"):
-        checks.append(0 <= getattr(r, name) <= r.n)
+    checks += [0 <= getattr(r, name) <= r.n for name in _COUNTS]
     if not all(checks):
         raise RuntimeError(f"census row invariant violated at genus {r.g}: {r}")
 
@@ -392,29 +361,30 @@ def load_checkpoint(path: str, cfg: CensusConfig) -> dict[int, CensusRow]:
     return rows
 
 
-def run_census(cfg: CensusConfig, *, genus_cap: int = DEFAULT_GENUS_CAP) -> list[CensusRow]:
-    """Rows for genus 1 .. g_max.  With a checkpoint path set, each
-    completed genus is persisted and the run recomputes only missing
-    genera, walking the tree once per genus; without one, a single pass
-    fills every genus at once."""
-    if cfg.g_max > genus_cap:
-        raise ResourceLimitError(cfg.g_max, genus_cap)
-    if cfg.checkpoint_path is None:
-        return _rows_from_hist(cfg, _census_counts(cfg, 1, cfg.g_max), 1, cfg.g_max)
-
-    done = load_checkpoint(cfg.checkpoint_path, cfg)
-    # rewrite up front: heals a torn trailing line from an interrupt,
-    # and a crash meanwhile leaves the old file in place
-    with replacing(cfg.checkpoint_path) as fh:
-        fh.write(json.dumps({"config_hash": cfg.config_hash(), "format": 1}) + "\n")
-        for g in sorted(done):
-            fh.write(_jsonl(done[g]))
-    with open(cfg.checkpoint_path, "a", encoding="utf-8") as fh:
-        for g in range(1, cfg.g_max + 1):
-            if g not in done:
-                [done[g]] = _rows_from_hist(cfg, _census_counts(cfg, g, g), g, g)
-                fh.write(_jsonl(done[g]))
-                fh.flush()
+def run_census(cfg: CensusConfig) -> list[CensusRow]:
+    """Rows for genus 1 .. g_max from one walk of the tree, which starts
+    at the first genus without a row.  With a checkpoint path set, the
+    rows already in the file are kept and the walk's new rows are
+    appended to it when the walk ends; a walk through g_max visits every
+    node of lower genus anyway, so walking only the missing genera
+    would not be cheaper."""
+    _check_cap(cfg.g_max)
+    path = cfg.checkpoint_path
+    done = {} if path is None else load_checkpoint(path, cfg)
+    if path is not None:
+        # rewrite up front: heals a torn trailing line from an interrupt,
+        # and a crash meanwhile leaves the old file in place
+        with replacing(path) as fh:
+            fh.write(json.dumps({"config_hash": cfg.config_hash(), "format": 1}) + "\n")
+            fh.writelines(_jsonl(done[g]) for g in sorted(done))
+    g_lo = next((g for g in range(1, cfg.g_max + 1) if g not in done), None)
+    if g_lo is not None:
+        rows = _rows_from_hist(cfg, _census_counts(cfg, g_lo, cfg.g_max), g_lo, cfg.g_max)
+        new = [r for r in rows if r.g not in done]
+        if path is not None:
+            with open(path, "a", encoding="utf-8") as fh:
+                fh.writelines(map(_jsonl, new))
+        done.update((r.g, r) for r in new)
     return [done[g] for g in range(1, cfg.g_max + 1)]
 
 

@@ -182,16 +182,6 @@ def weight_decomposition_mid(s: Semigroup) -> MidWeightDecomposition:
     )
 
 
-def mid_counts(mfg: Mapping[tuple[int, int, int], int]) -> dict[tuple[int, int], int]:
-    """Mid-band totals by (multiplicity, genus) from an (m, F, g) census."""
-    out: dict[tuple[int, int], int] = {}
-    for (m, f, g), n in mfg.items():
-        if 2 * m < f < 3 * m:
-            key = (m, g)
-            out[key] = out.get(key, 0) + n
-    return out
-
-
 def mid_decomposition_total(
     genus: int, mfg: Mapping[tuple[int, int, int], int]
 ) -> int:

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 from . import census as census_mod
 from . import checks, enumeration
-from .buchweitz import MAX_N_CAP, classify_buchweitz
+from .buchweitz import classify_buchweitz
 from .census import (
     CensusConfig,
     CheckpointMismatchError,
@@ -77,19 +77,9 @@ def _int_list_arg(text: str) -> list[int]:
 
 def _fraction_arg(text: str) -> Fraction:
     try:
-        value = Fraction(text)
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a fraction: {text!r} ({exc})")
-    if value <= 0:
-        raise argparse.ArgumentTypeError("epsilon must be positive")
-    return value
-
-
-def _nb_cap_arg(text: str) -> int:
-    value = int(text)
-    if not 2 <= value <= MAX_N_CAP:
-        raise argparse.ArgumentTypeError(f"cap must be between 2 and {MAX_N_CAP}")
-    return value
 
 
 def _default_threads() -> int:
@@ -179,11 +169,7 @@ def cmd_census(args: argparse.Namespace) -> int:
         write(rows, fh)
     summary = {
         "g_max": cfg.g_max,
-        "epsilon": str(cfg.epsilon),
-        "nb_n_cap": cfg.nb_n_cap,
-        "m_threshold": cfg.m_threshold,
-        "genus_mult_ratio": str(cfg.genus_mult_ratio),
-        "weight_beta_flags": cfg.weight_beta_flags,
+        **cfg.row_settings(),
         "threads": cfg.threads,
         "checkpoint": cfg.checkpoint_path,
         "config_hash": cfg.config_hash(),
@@ -195,40 +181,25 @@ def cmd_census(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_SUITE_DEFAULT_GMAX = {
-    "komeda": 25,
-    "qbinom": 18,
-    "recurrence": 20,
-    "kunz": 15,
-    "fib": 22,
-    "zhao": 14,
-    "weightmid": 14,
+# each verify suite: its default g_max, and its check, which takes
+# (g_max, threads) and returns the failures
+_SUITES = {
+    "komeda": (25, lambda g_max, threads: komeda_compare(
+        run_census(CensusConfig(g_max=g_max, threads=threads)))),
+    "qbinom": (18, lambda g_max, _: checks.qbinom_bijection_check(g_max)),
+    "recurrence": (20, lambda g_max, _: census_mod.recurrence_check(g_max)),
+    "kunz": (15, lambda g_max, _: checks.kunz_equivalence_check(g_max)),
+    "fib": (22, lambda g_max, _: checks.f2m_fibonacci_check(g_max)),
+    "zhao": (14, lambda g_max, _: checks.zhao_domination_check(g_max)),
+    "weightmid": (14, lambda g_max, _: checks.mid_weight_check(g_max)),
 }
 
 
-def _run_suite(suite: str, g_max: int, threads: int) -> list:
-    if suite == "komeda":
-        rows = run_census(CensusConfig(g_max=g_max, threads=threads))
-        return komeda_compare(rows)
-    if suite == "qbinom":
-        return checks.qbinom_bijection_check(g_max)
-    if suite == "recurrence":
-        return census_mod.recurrence_check(g_max)
-    if suite == "kunz":
-        return checks.kunz_equivalence_check(g_max)
-    if suite == "fib":
-        return checks.f2m_fibonacci_check(g_max)
-    if suite == "zhao":
-        return checks.zhao_domination_check(g_max)
-    if suite == "weightmid":
-        return checks.mid_weight_check(g_max)
-    raise AssertionError(suite)
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
-    g_max = args.gmax if args.gmax is not None else _SUITE_DEFAULT_GMAX[args.suite]
+    default_gmax, check = _SUITES[args.suite]
+    g_max = args.gmax if args.gmax is not None else default_gmax
     try:
-        failures = _run_suite(args.suite, g_max, _threads(args))
+        failures = check(g_max, _threads(args))
     except ValueError as exc:
         print(json.dumps({"suite": args.suite, "g_max": g_max, "ok": False,
                           "error": str(exc)}))
@@ -263,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--gaps", type=_int_list_arg,
                      help='gap set, e.g. "1..12,19,21,24,25"')
     src.add_argument("--gens", type=_int_list_arg, help='generators, e.g. "3,5,7"')
-    p_cls.add_argument("--nb-cap", type=_nb_cap_arg, default=8)
+    p_cls.add_argument("--nb-cap", type=int, default=8)
     p_cls.set_defaults(func=cmd_classify)
 
     p_cen = sub.add_parser("census", help="per-genus statistics table")
@@ -273,11 +244,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_cen.add_argument("--threads", type=int, default=None)
     p_cen.add_argument("--checkpoint")
     p_cen.add_argument("--eps", type=_fraction_arg, default=census_mod.DEFAULT_EPSILON)
-    p_cen.add_argument("--nb-cap", type=_nb_cap_arg, default=8)
+    p_cen.add_argument("--nb-cap", type=int, default=8)
     p_cen.set_defaults(func=cmd_census)
 
     p_ver = sub.add_parser("verify", help="run an exhaustive cross-check suite")
-    p_ver.add_argument("suite", choices=sorted(_SUITE_DEFAULT_GMAX))
+    p_ver.add_argument("suite", choices=sorted(_SUITES))
     p_ver.add_argument("--gmax", type=int, default=None)
     p_ver.add_argument("--threads", type=int, default=None)
     p_ver.set_defaults(func=cmd_verify)

@@ -116,16 +116,13 @@ def children(node: TreeNode) -> list[TreeNode]:
     return [_raw_to_node(raw) for raw in _raw_children(_node_to_raw(node))]
 
 
-def _check_cap(g_max: int, genus_cap: int) -> None:
-    if g_max > genus_cap:
-        raise ResourceLimitError(g_max, genus_cap)
+def _check_cap(g_max: int) -> None:
+    if g_max > DEFAULT_GENUS_CAP:
+        raise ResourceLimitError(g_max, DEFAULT_GENUS_CAP)
 
 
 def enumerate_by_genus(
-    g_max: int,
-    visitor: Optional[Callable[[TreeNode], None]] = None,
-    *,
-    genus_cap: int = DEFAULT_GENUS_CAP,
+    g_max: int, visitor: Optional[Callable[[TreeNode], None]] = None
 ) -> Counter:
     """Walk the tree through genus g_max, invoking visitor once per
     semigroup (the full semigroup included, at genus 0).  Returns the
@@ -133,11 +130,11 @@ def enumerate_by_genus(
 
     Sequential and deterministic: depth-first, children in increasing
     order of removed generator.  Nothing is materialized beyond the DFS
-    stack.  Refuses g_max beyond genus_cap.
+    stack.  Refuses g_max beyond DEFAULT_GENUS_CAP.
     """
     if g_max < 0:
         raise ValueError("g_max must be nonnegative")
-    _check_cap(g_max, genus_cap)
+    _check_cap(g_max)
     by_genus: Counter = Counter()
     stack: list[RawNode] = [_ROOT]
     pop = stack.pop
@@ -154,11 +151,11 @@ def enumerate_by_genus(
     return by_genus
 
 
-def genus_layer(depth: int, *, genus_cap: int = DEFAULT_GENUS_CAP) -> list[TreeNode]:
+def genus_layer(depth: int) -> list[TreeNode]:
     """All tree nodes of the given genus, in enumeration order."""
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    _check_cap(depth, genus_cap)
+    _check_cap(depth)
     layer = [_ROOT]
     for _ in range(depth):
         layer = [child for raw in layer for child in _raw_children(raw)]
@@ -260,14 +257,12 @@ def weight_cells(cells: list[int]) -> list[tuple[int, bool, int]]:
     return [(i >> 1, bool(i & 1), c) for i, c in enumerate(cells) if c]
 
 
-def mfg_counts(
-    g_max: int, *, genus_cap: int = DEFAULT_GENUS_CAP
-) -> Counter:
+def mfg_counts(g_max: int) -> Counter:
     """Counter keyed by (multiplicity, frobenius, genus) over every
     semigroup of genus <= g_max.  One cheap walk serves several tables."""
     if g_max < 0:
         raise ValueError("g_max must be nonnegative")
-    _check_cap(g_max, genus_cap)
+    _check_cap(g_max)
     counts: Counter = Counter({(1, -1, 0): 1})
     mf, _ = _histogram_walk(_ROOT, 1, g_max)
     for g in range(1, g_max + 1):
@@ -276,12 +271,10 @@ def mfg_counts(
     return counts
 
 
-def count_matrix(
-    g_max: int, *, genus_cap: int = DEFAULT_GENUS_CAP
-) -> dict[tuple[int, int], int]:
+def count_matrix(g_max: int) -> dict[tuple[int, int], int]:
     """Table N(multiplicity, genus) for every genus <= g_max."""
     table: dict[tuple[int, int], int] = {}
-    for (m, _, g), c in mfg_counts(g_max, genus_cap=genus_cap).items():
+    for (m, _, g), c in mfg_counts(g_max).items():
         key = (m, g)
         table[key] = table.get(key, 0) + c
     return table

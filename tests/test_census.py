@@ -19,6 +19,8 @@ from sgcensus.census import (
     CSV_HEADER,
     KOMEDA_TABLE,
     CensusConfig,
+    DEFAULT_GENUS_MULT_RATIO,
+    DEFAULT_M_THRESHOLD,
     CensusRow,
     CheckpointMismatchError,
     recurrence_check,
@@ -82,13 +84,13 @@ def oracle_rows(semigroups, cfg):
             "q_eh": eisenbud_harris(s),
             "r_2g3m": 2 * g < 3 * m,
             "a_eps": abs(ratio - 2) < eps,
-            "b_m420": m < cfg.m_threshold,
-            "c_ratio": g < cfg.genus_mult_ratio * m,
+            "b_m420": m < DEFAULT_M_THRESHOLD,
+            "c_ratio": g < DEFAULT_GENUS_MULT_RATIO * m,
             "nstar_eps": ratio <= 2 - eps,
             "phi_eps": (GAMMA - e) * g < m < (GAMMA + e) * g,
             "p_eps": 2 + eps < ratio < 3,
-            "y_beta1": cfg.weight_beta_flags and w <= (BETA1 - e) * g * g,
-            "z_beta2": cfg.weight_beta_flags and w >= (BETA2 + e) * g * g,
+            "y_beta1": w <= (BETA1 - e) * g * g,
+            "z_beta2": w >= (BETA2 + e) * g * g,
         }
         for name, hit in flags.items():
             r[name] += int(hit)
@@ -131,15 +133,9 @@ def test_census_matches_oracle_at_caps(tree16, nb_n_cap):
     # small denominators put cells exactly on the window edges
     epsilon=st.builds(Fraction, st.integers(1, 12), st.integers(1, 24)),
     nb_n_cap=st.integers(min_value=2, max_value=6),
-    m_threshold=st.integers(min_value=1, max_value=12),
-    genus_mult_ratio=st.builds(Fraction, st.integers(1, 24), st.integers(1, 8)),
-    weight_beta_flags=st.booleans(),
 )
-def test_census_matches_oracle_any_config(tree16, epsilon, nb_n_cap, m_threshold,
-                                          genus_mult_ratio, weight_beta_flags):
-    cfg = CensusConfig(g_max=10, epsilon=epsilon, nb_n_cap=nb_n_cap,
-                       m_threshold=m_threshold, genus_mult_ratio=genus_mult_ratio,
-                       weight_beta_flags=weight_beta_flags)
+def test_census_matches_oracle_any_config(tree16, epsilon, nb_n_cap):
+    cfg = CensusConfig(g_max=10, epsilon=epsilon, nb_n_cap=nb_n_cap)
     assert_rows_match(run_census(cfg), oracle_rows(tree16, cfg))
 
 
@@ -158,6 +154,8 @@ def test_config_validation():
 
 def test_config_hash_covers_semantics_only():
     base = CensusConfig(g_max=10)
+    # the hash checkpoints carry: it holds across versions
+    assert CensusConfig(g_max=1).config_hash() == "12ae4dbd69d8b58d"
     same = CensusConfig(g_max=12, threads=4, checkpoint_path="/tmp/x")
     assert base.config_hash() == same.config_hash()
     assert base.config_hash() != CensusConfig(
@@ -258,6 +256,23 @@ def test_checkpoint_roundtrip(tmp_path):
     rows12 = run_census(cfg12)
     assert rows12[:10] == rows10
     assert rows12 == run_census(CensusConfig(g_max=12))
+
+
+def test_checkpointed_run_walks_once(tmp_path, monkeypatch):
+    walks = []
+    walk = census._census_counts
+
+    def recorded(cfg, g_lo, g_hi):
+        walks.append((g_lo, g_hi))
+        return walk(cfg, g_lo, g_hi)
+
+    monkeypatch.setattr(census, "_census_counts", recorded)
+    ck = str(tmp_path / "census.ckpt")
+    # fresh, extended by two genera, then already complete
+    for g_max, expected in ((10, [(1, 10)]), (12, [(11, 12)]), (12, [])):
+        walks.clear()
+        run_census(CensusConfig(g_max=g_max, checkpoint_path=ck))
+        assert walks == expected, g_max
 
 
 def test_checkpoint_mismatch(tmp_path):

@@ -8,7 +8,6 @@ from sgcensus.classify import (
     eisenbud_harris,
     enumerate_ak,
     frobenius_class,
-    mid_counts,
     mid_decomposition_total,
     type_ak,
     weight_decomposition_mid,
@@ -188,13 +187,3 @@ def test_mid_decomposition_total_matches_tree():
             direct[g] = direct.get(g, 0) + c
     for g in range(3, 14):
         assert mid_decomposition_total(g, mfg) == direct.get(g, 0), g
-
-
-def test_mid_counts_marginals():
-    mfg = mfg_counts(10)
-    by_mg = mid_counts(mfg)
-    want = {}
-    for (m, f, g), c in mfg.items():
-        if 2 * m < f < 3 * m:
-            want[(m, g)] = want.get((m, g), 0) + c
-    assert by_mg == want

@@ -129,6 +129,9 @@ def test_census_csv_and_summary(tmp_path):
     r = run_cli("census", "--gmax", "8", "--out", str(out))
     assert r.returncode == 0
     summary = json.loads(r.stdout)
+    assert list(summary) == ["g_max", "epsilon", "nb_n_cap", "m_threshold",
+                             "genus_mult_ratio", "weight_beta_flags", "threads",
+                             "checkpoint", "config_hash", "rows", "out", "format"]
     assert summary["g_max"] == 8
     assert summary["epsilon"] == "1/21"
     assert summary["nb_n_cap"] == 8
@@ -161,6 +164,8 @@ def test_census_threads_deterministic(tmp_path):
 # before the gap sumsets were carried down the tree
 CENSUS20_SHA256 = "ffc894856dfd3920ec4667b12973a9ed2c9e7afc9430f2dad6c012f248dff8f7"
 CENSUS20_CAP3_SHA256 = "259b6e389427d016417356e7fe0403ef19100f89937529548068733dd35c97cc"
+# and of `sgcensus census --gmax 20 --format jsonl`
+CENSUS20_JSONL_SHA256 = "d213f8c299678bfd8c14691d56414f9625e0e31aa2df227161e62f5c5a4e32f4"
 
 
 @pytest.mark.parametrize("args, digest", [
@@ -168,7 +173,9 @@ CENSUS20_CAP3_SHA256 = "259b6e389427d016417356e7fe0403ef19100f89937529548068733d
     (("--threads", "2"), CENSUS20_SHA256),
     (("--threads", "2", "--checkpoint", "census.ckpt"), CENSUS20_SHA256),
     (("--nb-cap", "3"), CENSUS20_CAP3_SHA256),
-], ids=["threads1", "threads2", "checkpoint", "nb-cap-3"])
+    (("--format", "jsonl"), CENSUS20_JSONL_SHA256),
+    (("--format", "jsonl", "--threads", "2"), CENSUS20_JSONL_SHA256),
+], ids=["threads1", "threads2", "checkpoint", "nb-cap-3", "jsonl", "jsonl-threads2"])
 def test_census_output_pinned(tmp_path, args, digest):
     out = tmp_path / "rows.csv"
     args = [str(tmp_path / a) if a.endswith(".ckpt") else a for a in args]
@@ -229,6 +236,12 @@ def test_census_resume_and_mismatch(tmp_path):
 def test_census_resource_and_io_errors(tmp_path):
     assert run_cli("census", "--gmax", "40",
                    "--out", str(tmp_path / "x.csv")).returncode == 3
+    # a nonpositive epsilon is refused before the output file is made;
+    # "--eps -1/3" reads as a missing value, "--eps=-1/3" reaches the check
+    for eps in (["--eps", "0"], ["--eps", "-1/3"], ["--eps=-1/3"]):
+        r = run_cli("census", "--gmax", "4", "--out", str(tmp_path / "x.csv"), *eps)
+        assert r.returncode == 2, eps
+        assert not (tmp_path / "x.csv").exists()
     r = run_cli("census", "--gmax", "4", "--out", "/no-such-dir/x.csv")
     assert r.returncode == 5
     assert "cannot write" in r.stderr

@@ -100,8 +100,6 @@ def test_resource_cap():
         enumerate_by_genus(DEFAULT_GENUS_CAP + 1)
     assert exc.value.g_max == DEFAULT_GENUS_CAP + 1
     with pytest.raises(ResourceLimitError):
-        enumerate_by_genus(5, genus_cap=4)
-    with pytest.raises(ResourceLimitError):
         brute_force_by_genus(11)
     with pytest.raises(ValueError):
         enumerate_by_genus(-1)
