@@ -5,9 +5,12 @@ pole orders at a point of a smooth curve if |nH| > (2n-1)(g-1) for some
 n > 1, where nH is the n-fold sumset.  Since H lives in [1, F] the size
 bound |nH| <= n(F-1)+1 limits how far n is worth testing: failure at n
 requires n(2g-1-F) < g, which is unbounded only in the symmetric case
-F = 2g-1.  Sumsets are integer bitmaps, built one gap at a time: adding
-a gap x to H gives k(H + {x}) = kH | (x + (k-1)(H + {x})), so the
-sumsets 1H .. kH of a set follow from those of the set without x by k
+F = 2g-1.  n_range decides which n are tested, for the census and
+the per-semigroup report alike.
+
+Sumsets are integer bitmaps, built one gap at a time: adding a gap x
+to H gives k(H + {x}) = kH | (x + (k-1)(H + {x})), so the sumsets
+1H .. kH of a set follow from those of the set without x by k
 shift-ors.  Folding the gaps in any order gives them from scratch, and
 the census carries them down the genus tree, where each child adds one
 gap to its parent.
@@ -60,26 +63,45 @@ def nfold_sumset(gaps: Iterable[int], n: int) -> set[int]:
     return _bits(gap_sumsets(gaps, n)[-1])
 
 
+def threshold(g: int, n: int) -> int:
+    """(2n-1)(g-1), the largest |nH| that passes the obstruction."""
+    return (2 * n - 1) * (g - 1)
+
+
+def _horizon(g: int, f: int) -> Optional[int]:
+    """Largest n at which |nH| <= n(F-1)+1 still permits a failure, or
+    None when F = 2g-1 leaves every n in play."""
+    d = 2 * g - 1 - f
+    return (g - 1) // d if d else None
+
+
+def n_range(g: int, f: int, n_cap: int) -> tuple[int, bool]:
+    """(n_hi, capped): the obstruction is tested for n = 2 .. n_hi, an
+    empty range for genus below 2, and capped is set when n_cap cut the
+    range short of the horizon."""
+    if g < 2:
+        return 1, False
+    horizon = _horizon(g, f)
+    if horizon is None:
+        return n_cap, True
+    return min(horizon, n_cap), horizon > n_cap
+
+
 def buchweitz_fails(s: Semigroup, n: int) -> bool:
     """Whether |nH| > (2n-1)(g-1).  Requires genus >= 2 and n >= 2."""
     if n < 2:
         raise ValueError("the obstruction is only defined for n >= 2")
     if s.genus < 2:
         raise ValueError("the obstruction needs genus >= 2")
-    size = gap_sumsets(s.gaps(), n)[-1].bit_count()
-    return size > (2 * n - 1) * (s.genus - 1)
+    return gap_sumsets(s.gaps(), n)[-1].bit_count() > threshold(s.genus, n)
 
 
 def buchweitz_horizon(s: Semigroup) -> Optional[int]:
     """Largest n at which the size bound still permits a failure, or
     None when F = 2g-1 leaves every n in play.  Requires genus >= 2."""
-    g = s.genus
-    if g < 2:
+    if s.genus < 2:
         raise ValueError("the obstruction needs genus >= 2")
-    d = 2 * g - 1 - s.frobenius
-    if d == 0:
-        return None
-    return (g - 1) // d
+    return _horizon(s.genus, s.frobenius)
 
 
 @dataclass(frozen=True)
@@ -137,31 +159,24 @@ def classify_buchweitz(s: Semigroup, n_cap: int = DEFAULT_N_CAP) -> BuchweitzRep
     g = s.genus
     if g < 2:
         return BuchweitzReport(g, 1, n_cap, (), False, None, False)
-    horizon = buchweitz_horizon(s)
-    if horizon is None:
-        n_hi = n_cap
-        truncated = True
-    else:
-        n_hi = min(horizon, n_cap)
-        truncated = horizon > n_cap
+    n_hi, capped = n_range(g, s.frobenius, n_cap)
     tests = []
     first = None
     sums = gap_sumsets(s.gaps(), n_hi)
     for n in range(2, n_hi + 1):
-        size = sums[n - 1].bit_count()
-        threshold = (2 * n - 1) * (g - 1)
-        fails = size > threshold
-        tests.append(BuchweitzTest(n, size, threshold, fails))
+        size, bound = sums[n - 1].bit_count(), threshold(g, n)
+        fails = size > bound
+        tests.append(BuchweitzTest(n, size, bound, fails))
         if fails:
             first = n
             break
     fails_any = first is not None
     return BuchweitzReport(
         genus=g,
-        horizon=horizon,
+        horizon=buchweitz_horizon(s),
         n_cap=n_cap,
         tests=tuple(tests),
         fails_any=fails_any,
         first_failure=first,
-        capped=truncated and not fails_any,
+        capped=capped and not fails_any,
     )

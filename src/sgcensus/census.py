@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import reduce
 from typing import IO, Iterable, Iterator, Optional, Sequence, Union
 
-from .buchweitz import MAX_N_CAP, add_gap, gap_sumsets
+from .buchweitz import DEFAULT_N_CAP, MAX_N_CAP, add_gap, gap_sumsets, n_range, threshold
 from .enumeration import (
     _check_cap,
     _histogram_walk,
@@ -77,7 +77,7 @@ class CheckpointMismatchError(Exception):
 class CensusConfig:
     g_max: int
     epsilon: Fraction = DEFAULT_EPSILON
-    nb_n_cap: int = 8
+    nb_n_cap: int = DEFAULT_N_CAP
     threads: int = 1
     checkpoint_path: Optional[str] = None
 
@@ -156,21 +156,22 @@ class CensusRow:
 def _sumset_counter(cap: int, g_lo: int, g_hi: int):
     """Per-genus [nb2, nb_any, nb_capped] counters, and the walk's visit
     callback that fills them: it tests |nH| > (2n-1)(g-1) on the gap set
-    H of each node of genus g_lo .. g_hi for n = 2 .. min(horizon, cap),
-    where the size bound leaves n >= 2 in play only for F close to
-    2g-1.  The sumsets (1H .. capH) are carried down the tree: a child
-    adds the gap F to its parent's, and a subtree root folds its gaps.
-    A node without children builds its sumsets only up to its own n and
-    stops at the first failure."""
+    H of each node of genus g_lo .. g_hi over buchweitz.n_range,
+    read from tables made before the walk.  The sumsets (1H .. capH)
+    are carried down the tree: a child adds the gap F to its parent's,
+    and a subtree root folds its gaps.  A node without children builds
+    its sumsets only up to its own n and stops at the first failure."""
     nb = [[0, 0, 0] for _ in range(g_hi + 1)]
+    # ranges[g][F] is (n_hi, capped), bounds[g][n] the threshold; genera
+    # below g_lo stay untested, and the root's F = -1 reads ranges[0][0]
+    ranges = [[(1, False)] * (2 * g + 1) for g in range(g_hi + 1)]
+    for g in range(g_lo, g_hi + 1):
+        ranges[g][g:2 * g] = [n_range(g, f, cap) for f in range(g, 2 * g)]
+    bounds = [[threshold(g, n) for n in range(cap + 1)] for g in range(g_hi + 1)]
 
     def visit(parent: Optional[tuple], mask: int, f: int, g: int, leaf: bool):
-        gm1 = g - 1
-        d = gm1 + g - f
-        # F = 2g-1 leaves every n in play: a horizon past the cap
-        horizon = gm1 // d if d else cap + 1
-        tested = horizon >= 2 and gm1 >= 1 and g >= g_lo
-        if leaf and not tested:
+        n_hi, capped = ranges[g][f]
+        if leaf and n_hi < 2:
             return None
         if parent is None:
             sums = gap_sumsets((x for x in range(1, f + 1) if not mask >> x & 1), cap)
@@ -178,18 +179,19 @@ def _sumset_counter(cap: int, g_lo: int, g_hi: int):
             sums = add_gap(parent, f)
             if not leaf:
                 sums = tuple(sums)
-        if not tested:
+        if n_hi < 2:
             return sums
         counts = nb[g]
+        bound = bounds[g]
         grown = iter(sums)
         next(grown)  # 1H
-        for n, acc in zip(range(2, min(horizon, cap) + 1), grown):
-            if acc.bit_count() > (n + n - 1) * gm1:
+        for n, acc in zip(range(2, n_hi + 1), grown):
+            if acc.bit_count() > bound[n]:
                 counts[1] += 1
                 if n == 2:
                     counts[0] += 1
                 return sums
-        if horizon > cap:
+        if capped:
             counts[2] += 1
         return sums
 
@@ -409,29 +411,6 @@ def write_jsonl(rows: Sequence[CensusRow], out: Union[str, IO[str]]) -> None:
     finally:
         if own:
             fh.close()
-
-
-def recurrence_check(g_max: int, table=None) -> list[tuple[int, int, int, int]]:
-    """Violations of N(m-1, g-1) + N(m-1, g-2) = N(m, g) over the
-    region 2g < 3m with m >= 3, g <= g_max.  Each entry is
-    (m, g, lhs, rhs); an empty list means the identity held throughout.
-    """
-    if g_max < 3:
-        raise ValueError("g_max must be at least 3")
-    if table is None:
-        from .enumeration import count_matrix
-
-        table = count_matrix(g_max)
-    bad = []
-    for m in range(3, g_max + 2):
-        for g in range(1, g_max + 1):
-            if 2 * g >= 3 * m:
-                continue
-            lhs = table.get((m - 1, g - 1), 0) + table.get((m - 1, g - 2), 0)
-            rhs = table.get((m, g), 0)
-            if lhs != rhs:
-                bad.append((m, g, lhs, rhs))
-    return bad
 
 
 def komeda_compare(rows: Iterable[CensusRow]) -> list[dict]:

@@ -129,3 +129,24 @@ def mid_decomposition_check(g_max: int) -> list[tuple]:
         if rebuilt != direct[g]:
             bad.append((g, direct[g], rebuilt))
     return bad
+
+
+def recurrence_check(g_max: int, table=None) -> list[tuple[int, int, int, int]]:
+    """Violations of N(m-1, g-1) + N(m-1, g-2) = N(m, g) over the
+    region 2g < 3m with m >= 3, g <= g_max.  Each entry is
+    (m, g, lhs, rhs); an empty list means the identity held throughout.
+    """
+    if g_max < 3:
+        raise ValueError("g_max must be at least 3")
+    if table is None:
+        table = enumeration.count_matrix(g_max)
+    bad = []
+    for m in range(3, g_max + 2):
+        for g in range(1, g_max + 1):
+            if 2 * g >= 3 * m:
+                continue
+            lhs = table.get((m - 1, g - 1), 0) + table.get((m - 1, g - 2), 0)
+            rhs = table.get((m, g), 0)
+            if lhs != rhs:
+                bad.append((m, g, lhs, rhs))
+    return bad

@@ -21,10 +21,10 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from . import census as census_mod
 from . import checks, enumeration
-from .buchweitz import classify_buchweitz
+from .buchweitz import DEFAULT_N_CAP, classify_buchweitz
 from .census import (
+    DEFAULT_EPSILON,
     CensusConfig,
     CheckpointMismatchError,
     komeda_compare,
@@ -187,7 +187,7 @@ _SUITES = {
     "komeda": (25, lambda g_max, threads: komeda_compare(
         run_census(CensusConfig(g_max=g_max, threads=threads)))),
     "qbinom": (18, lambda g_max, _: checks.qbinom_bijection_check(g_max)),
-    "recurrence": (20, lambda g_max, _: census_mod.recurrence_check(g_max)),
+    "recurrence": (20, lambda g_max, _: checks.recurrence_check(g_max)),
     "kunz": (15, lambda g_max, _: checks.kunz_equivalence_check(g_max)),
     "fib": (22, lambda g_max, _: checks.f2m_fibonacci_check(g_max)),
     "zhao": (14, lambda g_max, _: checks.zhao_domination_check(g_max)),
@@ -234,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--gaps", type=_int_list_arg,
                      help='gap set, e.g. "1..12,19,21,24,25"')
     src.add_argument("--gens", type=_int_list_arg, help='generators, e.g. "3,5,7"')
-    p_cls.add_argument("--nb-cap", type=int, default=8)
+    p_cls.add_argument("--nb-cap", type=int, default=DEFAULT_N_CAP)
     p_cls.set_defaults(func=cmd_classify)
 
     p_cen = sub.add_parser("census", help="per-genus statistics table")
@@ -243,8 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cen.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     p_cen.add_argument("--threads", type=int, default=None)
     p_cen.add_argument("--checkpoint")
-    p_cen.add_argument("--eps", type=_fraction_arg, default=census_mod.DEFAULT_EPSILON)
-    p_cen.add_argument("--nb-cap", type=int, default=8)
+    p_cen.add_argument("--eps", type=_fraction_arg, default=DEFAULT_EPSILON)
+    p_cen.add_argument("--nb-cap", type=int, default=DEFAULT_N_CAP)
     p_cen.set_defaults(func=cmd_census)
 
     p_ver = sub.add_parser("verify", help="run an exhaustive cross-check suite")

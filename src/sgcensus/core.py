@@ -2,11 +2,12 @@
 
 A numerical semigroup is an additively closed subset of the nonnegative
 integers that contains 0 and has finite complement.  The representation
-is a membership bitmap over [0, F+1], where F is the Frobenius number
-(largest gap), together with the three statistics everything else keeps
-asking for: multiplicity, Frobenius number, and genus.  Every integer
-above F is a member implicitly.  The full semigroup of all nonnegative
-integers is encoded with F = -1, genus 0, multiplicity 1.
+is a membership bitmap over [0, F], where F is the Frobenius number
+(largest gap), laid out as the genus tree's nodes are, together with
+the three statistics everything else keeps asking for: multiplicity,
+Frobenius number, and genus.  Every integer above F is a member
+implicitly.  The full semigroup of all nonnegative integers is encoded
+with F = -1, genus 0, multiplicity 1.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ class Semigroup:
     """Immutable numerical semigroup.
 
     Prefer the factory classmethods; the raw constructor trusts its
-    arguments.  The bitmap covers [0, frobenius + 1] with bit i giving
-    membership of i; the top bit (frobenius + 1) is always set.
+    arguments.  The bitmap covers [0, frobenius] with bit i giving
+    membership of i; bit 0 is always set.
     """
 
     __slots__ = ("_mask", "multiplicity", "frobenius", "genus")
@@ -82,39 +83,21 @@ class Semigroup:
             )
         if gens[0] == 1:
             return cls.naturals()
-        m = gens[0]
-        # March upward marking reachable sums; once m consecutive members
-        # appear, everything beyond is a member.
-        member = bytearray(2 * gens[-1] + 2)
-        member[0] = 1
-        frob = 0
-        run = 0
-        i = 1
-        while run < m:
-            if i >= len(member):
-                member.extend(bytes(len(member)))
-            hit = 0
-            for a in gens:
-                if a > i:
-                    break
-                if member[i - a]:
-                    hit = 1
-                    break
-            if hit:
-                member[i] = 1
-                run += 1
-            else:
-                frob = i
-                run = 0
-            i += 1
-        mask = 0
-        genus = 0
-        for j in range(frob + 2):
-            if member[j]:
-                mask |= 1 << j
-            elif j:
-                genus += 1
-        return cls(mask, m, frob, genus)
+        # every Apery element is a sum of at most m-1 generators, so
+        # F < (m-1) max(gens) and the window [0, (m-1) max(gens)] holds
+        # every gap; closing under a by doubling steps a, 2a, 4a, ..
+        # adds every multiple of a that fits
+        top = (gens[0] - 1) * gens[-1]
+        window = (1 << (top + 1)) - 1
+        mask = 1
+        for a in gens:
+            step = a
+            while step <= top:
+                mask |= (mask << step) & window
+                step <<= 1
+        frob = (window ^ mask).bit_length() - 1
+        mask &= (1 << (frob + 1)) - 1
+        return cls(mask, gens[0], frob, frob + 1 - mask.bit_count())
 
     @classmethod
     def from_gaps(cls, gaps: Iterable[int]) -> "Semigroup":
@@ -138,7 +121,7 @@ class Semigroup:
         gap_bits = 0
         for a in gap_list:
             gap_bits |= 1 << a
-        mask = ((1 << (frob + 2)) - 1) ^ gap_bits
+        mask = ((1 << (frob + 1)) - 1) ^ gap_bits
         # closure: for each member a <= F/2, the members b >= a shifted
         # up by a meet no gap (sums above F cannot); the lowest hit
         # under the smallest such a is the witness pair
@@ -149,8 +132,9 @@ class Semigroup:
             if hit:
                 raise InvalidGapSetError(a, (hit & -hit).bit_length() - 1 - a)
             small &= small - 1
+        # with no member in [1, F] the semigroup is ordinary: m = F + 1
         low = mask & ~1
-        m = (low & -low).bit_length() - 1
+        m = (low & -low).bit_length() - 1 if low else frob + 1
         return cls(mask, m, frob, len(gap_list))
 
     @classmethod
@@ -167,7 +151,7 @@ class Semigroup:
         k = vec.coordinates
         frob = max(k[i - 1] * m + i for i in range(1, m)) - m
         genus = sum(k)
-        mask = (1 << (frob + 2)) - 1
+        mask = (1 << (frob + 1)) - 1
         for i in range(1, m):
             for c in range(k[i - 1]):
                 # the largest gap in class i is k_i*m + i - m <= frob
@@ -201,7 +185,7 @@ class Semigroup:
         if self.frobenius < 0:
             return (1,)
         frob = self.multiplicity + self.frobenius
-        small = self._mask & ~1  # nonzero members up to frobenius + 1
+        small = self._mask & ~1  # nonzero members up to frobenius
         ext = small | (((1 << (frob - self.frobenius)) - 1) << (self.frobenius + 1))
         sums = 0
         w = small

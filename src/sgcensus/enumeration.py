@@ -7,11 +7,12 @@ semigroup exactly once.  Internally a node is a plain tuple
 
     (mask, multiplicity, frobenius, genus, gap_sum, generators)
 
-where mask is the membership bitmap over [0, frobenius] and generators
-lists the removable minimal generators in increasing order.  Removing
-generator x from node S only ever creates new minimal generators at
-x + m' (or 2m, 2m+1 when x is the multiplicity itself), which keeps the
-child computation constant-time per candidate instead of a rescan.
+where mask is the membership bitmap over [0, frobenius], laid out as
+in Semigroup, and generators lists the removable minimal generators in
+increasing order.  Removing generator x from node S only ever creates
+new minimal generators at x + m' (or 2m, 2m+1 when x is the
+multiplicity itself), which keeps the child computation constant-time
+per candidate instead of a rescan.
 """
 
 from __future__ import annotations
@@ -79,8 +80,7 @@ def _raw_children(node: RawNode) -> list[RawNode]:
 
 
 def _raw_to_semigroup(raw: RawNode) -> Semigroup:
-    mask, m, frob, g, _, _ = raw
-    return Semigroup(mask | (1 << (frob + 1)), m, frob, g)
+    return Semigroup(*raw[:4])
 
 
 @dataclass(frozen=True)
@@ -95,11 +95,7 @@ class TreeNode:
 
 def _node_to_raw(node: TreeNode) -> RawNode:
     s = node.semigroup
-    frob = s.frobenius
-    mask = s._mask
-    if frob >= 0:
-        mask &= ~(1 << (frob + 1))
-    return (mask, s.multiplicity, frob, s.genus, node.gap_sum, node.removable)
+    return (s._mask, s.multiplicity, s.frobenius, s.genus, node.gap_sum, node.removable)
 
 
 def _raw_to_node(raw: RawNode) -> TreeNode:

@@ -10,12 +10,13 @@ fail against honestly measured census values.  The analysis lives in
 the project decision log; nothing here is loosened to mask it.
 """
 
-from sgcensus.census import KOMEDA_TABLE, recurrence_check
+from sgcensus.census import KOMEDA_TABLE
 from sgcensus.checks import (
     f2m_fibonacci_check,
     kunz_equivalence_check,
     mid_weight_check,
     qbinom_bijection_check,
+    recurrence_check,
     zhao_domination_check,
 )
 from sgcensus.classify import zhao_constant_partial

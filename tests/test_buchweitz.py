@@ -16,9 +16,10 @@ from sgcensus.buchweitz import (
     classify_buchweitz,
     gap_sumsets,
     nfold_sumset,
+    n_range,
 )
 from sgcensus.core import Semigroup
-from sgcensus.enumeration import children, root
+from sgcensus.enumeration import children, enumerate_by_genus, root
 
 # the classical genus-16 obstruction witness
 WITNESS_GAPS = tuple(range(1, 13)) + (19, 21, 24, 25)
@@ -148,3 +149,42 @@ def test_classify_rejects_tiny_cap():
     rep = classify_buchweitz(Semigroup.from_gaps([1, 3]), n_cap=MAX_N_CAP)
     assert len(rep.tests) == MAX_N_CAP - 1
     assert rep.capped
+
+
+def test_no_failure_beyond_the_horizon():
+    # every semigroup of genus 2..12 against every n = 2..g+1, with |nH|
+    # counted from its sumsets: nH lies in [n, nF], and past the horizon
+    # or at F = 2g-1 (symmetric) it never exceeds (2n-1)(g-1)
+    checked = 0
+
+    def visit(node):
+        nonlocal checked
+        s = node.semigroup
+        g, f = s.genus, s.frobenius
+        if g < 2:
+            return
+        horizon = buchweitz_horizon(s)
+        assert (horizon is None) == (f == 2 * g - 1)
+        sums = gap_sumsets(s.gaps(), g + 1)
+        for n in range(2, g + 2):
+            size = sums[n - 1].bit_count()
+            assert size <= n * (f - 1) + 1
+            if horizon is None or n > horizon:
+                assert size <= (2 * n - 1) * (g - 1), (s, n)
+                checked += 1
+
+    enumerate_by_genus(12, visit)
+    assert checked > 10_000
+
+
+def test_n_range_is_where_the_size_bound_permits_failure():
+    # n can fail only while n(F-1)+1, the size of [n, nF], exceeds
+    # (2n-1)(g-1); checked n by n up to 100 against the tested range
+    for g in range(2, 31):
+        for f in range(g, 2 * g):
+            open_n = [n for n in range(2, 101) if n * (f - 1) + 1 > (2 * n - 1) * (g - 1)]
+            for cap in (2, 3, DEFAULT_N_CAP, MAX_N_CAP):
+                n_hi, capped = n_range(g, f, cap)
+                assert list(range(2, n_hi + 1)) == [n for n in open_n if n <= cap]
+                assert capped == any(n > cap for n in open_n)
+    assert n_range(1, 1, DEFAULT_N_CAP) == (1, False)

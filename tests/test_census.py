@@ -23,13 +23,13 @@ from sgcensus.census import (
     DEFAULT_M_THRESHOLD,
     CensusRow,
     CheckpointMismatchError,
-    recurrence_check,
     komeda_compare,
     load_checkpoint,
     run_census,
     write_csv,
     write_jsonl,
 )
+from sgcensus.checks import recurrence_check
 from sgcensus.classify import FrobeniusClass, eisenbud_harris, frobenius_class
 from sgcensus.enumeration import (
     _ROOT,

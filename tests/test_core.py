@@ -10,6 +10,7 @@ from sgcensus.core import (
     Semigroup,
     SemigroupError,
 )
+from sgcensus.enumeration import enumerate_by_genus
 
 
 def test_naturals():
@@ -48,6 +49,24 @@ def test_from_generators_needs_gcd_one():
         Semigroup.from_generators([4, 6])
     with pytest.raises(SemigroupError):
         Semigroup.from_generators([])
+
+
+def test_from_generators_inverts_minimal_generators():
+    def visit(node):
+        s = node.semigroup
+        t = Semigroup.from_generators(s.minimal_generators())
+        assert t == s
+        assert (t.multiplicity, t.frobenius, t.genus) == (s.multiplicity, s.frobenius, s.genus)
+
+    enumerate_by_genus(12, visit)
+
+
+def test_from_generators_window_bound():
+    # two coprime generators a < b: F = ab - a - b, g = (a-1)(b-1)/2,
+    # close under the window's bound (a-1)b
+    s = Semigroup.from_generators([100, 10001])
+    assert (s.multiplicity, s.frobenius, s.genus) == (100, 989_999, 495_000)
+    assert 989_999 - 10001 not in s and 10001 * 98 in s
 
 
 def test_from_gaps_roundtrip():
