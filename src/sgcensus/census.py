@@ -160,7 +160,9 @@ def _sumset_counter(cap: int, g_lo: int, g_hi: int):
     read from tables made before the walk.  The sumsets (1H .. capH)
     are carried down the tree: a child adds the gap F to its parent's,
     and a subtree root folds its gaps.  A node without children builds
-    its sumsets only up to its own n and stops at the first failure."""
+    its sumsets only up to its own n and stops at the first failure;
+    one with a parent that tests n = 2 alone needs only the parent's 1H
+    and 2H, 2H' = 2H | ((H | 1<<F) << F)."""
     nb = [[0, 0, 0] for _ in range(g_hi + 1)]
     # ranges[g][F] is (n_hi, capped), bounds[g][n] the threshold; genera
     # below g_lo stay untested, and the root's F = -1 reads ranges[0][0]
@@ -169,10 +171,19 @@ def _sumset_counter(cap: int, g_lo: int, g_hi: int):
         ranges[g][g:2 * g] = [n_range(g, f, cap) for f in range(g, 2 * g)]
     bounds = [[threshold(g, n) for n in range(cap + 1)] for g in range(g_hi + 1)]
 
-    def visit(parent: Optional[tuple], mask: int, f: int, g: int, leaf: bool):
+    def visit(parent: Optional[tuple], mask: Optional[int], f: int, g: int, leaf: bool):
         n_hi, capped = ranges[g][f]
-        if leaf and n_hi < 2:
-            return None
+        if leaf:
+            if n_hi < 2:
+                return None
+            if n_hi == 2 and parent is not None:
+                counts = nb[g]
+                if (parent[1] | ((parent[0] | 1 << f) << f)).bit_count() > bounds[g][2]:
+                    counts[0] += 1
+                    counts[1] += 1
+                elif capped:
+                    counts[2] += 1
+                return None
         if parent is None:
             sums = gap_sumsets((x for x in range(1, f + 1) if not mask >> x & 1), cap)
         else:

@@ -243,7 +243,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_cen.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     p_cen.add_argument("--threads", type=int, default=None)
     p_cen.add_argument("--checkpoint")
-    p_cen.add_argument("--eps", type=_fraction_arg, default=DEFAULT_EPSILON)
+    p_cen.add_argument("--eps", type=_fraction_arg, default=DEFAULT_EPSILON,
+                       help="window half-width, a positive fraction such as 1/21; "
+                            "a value starting with '-' must be written --eps=VALUE")
     p_cen.add_argument("--nb-cap", type=int, default=DEFAULT_N_CAP)
     p_cen.set_defaults(func=cmd_census)
 

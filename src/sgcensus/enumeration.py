@@ -5,14 +5,19 @@ g by removing a single minimal generator larger than the Frobenius
 number, so depth-first traversal of the resulting tree visits each
 semigroup exactly once.  Internally a node is a plain tuple
 
-    (mask, multiplicity, frobenius, genus, gap_sum, generators)
+    (mask, rev, multiplicity, frobenius, genus, gap_sum, generators)
 
 where mask is the membership bitmap over [0, frobenius], laid out as
-in Semigroup, and generators lists the removable minimal generators in
-increasing order.  Removing generator x from node S only ever creates
-new minimal generators at x + m' (or 2m, 2m+1 when x is the
-multiplicity itself), which keeps the child computation constant-time
-per candidate instead of a rescan.
+in Semigroup, rev the same bitmap reversed about the Frobenius number
+(bit F - i is set iff i is a member and i <= F), and generators lists
+the removable minimal generators in increasing order.  Removing
+generator x from node S only ever creates a new minimal generator at
+x + m (or 2m, 2m+1 when x is the multiplicity itself), and x + m is
+one unless it is a sum of two nonzero members of the child: one AND
+of the child's mask with its rev shifted by m answers that, the
+bit-parallel test of Bras-Amoros and Fernandez-Gonzalez ("Computation
+of numerical semigroups by means of seeds", Math. Comp. 87, 2018).
+Both bitmaps are relative to F, so no width is fixed in advance.
 """
 
 from __future__ import annotations
@@ -26,9 +31,9 @@ from typing import Any, Callable, Optional
 from .core import Semigroup
 from .partitions import GOLDEN_RATIO
 
-RawNode = tuple[int, int, int, int, int, tuple[int, ...]]
+RawNode = tuple[int, int, int, int, int, int, tuple[int, ...]]
 
-_ROOT: RawNode = (1, 1, -1, 0, 0, (1,))
+_ROOT: RawNode = (1, 0, 1, -1, 0, 0, (1,))
 
 DEFAULT_GENUS_CAP = 30
 BRUTE_FORCE_CAP = 10
@@ -48,39 +53,35 @@ class ResourceLimitError(RuntimeError):
 
 
 def _raw_children(node: RawNode) -> list[RawNode]:
-    mask, m, frob, g, gap_sum, gens = node
+    mask, rev, m, frob, g, gap_sum, gens = node
     out = []
     f1 = frob + 1
     g1 = g + 1
     for idx, x in enumerate(gens):
-        ext = x - 1 - frob
-        cmask = (mask | (((1 << ext) - 1) << f1)) if ext else mask
-        if x == m:
-            # only the ordinary semigroup has its multiplicity removable
-            m2 = m + 1
-            cands = (x + m, x + m + 1)
-        else:
-            m2 = m
-            cands = (x + m,)
+        # the child's members in (F, x) fill bits F+1 .. x-1 of its
+        # mask and bits 1 .. ext of its rev, which moves up by x - F
+        ext = x - f1
+        fill = (1 << ext) - 1
+        cmask = mask | (fill << f1)
+        crev = (rev << (ext + 1)) | (fill << 1)
         tail = gens[idx + 1 :]
-        for z in cands:
-            # z is a new minimal generator unless it is a sum of two
-            # nonzero members of the child; both addends then lie in
-            # [m2, x], so the bitmap answers each membership test.
-            half = z >> 1
-            c = m2
-            while c <= half:
-                if (cmask >> c) & 1 and (cmask >> (z - c)) & 1:
-                    break
-                c += 1
-            else:
-                tail = tail + (z,)
-        out.append((cmask, m2, x, g1, gap_sum + x, tail))
+        if x == m:
+            # only the ordinary semigroup has its multiplicity removable;
+            # 2m and 2m + 1 then have no two addends of at least m + 1
+            out.append((cmask, crev, m + 1, x, g1, gap_sum + x, tail + (x + m, x + m + 1)))
+            continue
+        # x + m is a new minimal generator unless it is a sum of two
+        # nonzero members of the child, both then in [m, x]; crev << m
+        # sets bit x + m - i for each member i <= x, so a bit it shares
+        # with cmask is such a pair
+        if not cmask & (crev << m):
+            tail += (x + m,)
+        out.append((cmask, crev, m, x, g1, gap_sum + x, tail))
     return out
 
 
 def _raw_to_semigroup(raw: RawNode) -> Semigroup:
-    return Semigroup(*raw[:4])
+    return Semigroup(raw[0], *raw[2:5])
 
 
 @dataclass(frozen=True)
@@ -95,11 +96,13 @@ class TreeNode:
 
 def _node_to_raw(node: TreeNode) -> RawNode:
     s = node.semigroup
-    return (s._mask, s.multiplicity, s.frobenius, s.genus, node.gap_sum, node.removable)
+    f = s.frobenius
+    rev = int(f"{s._mask:0{f + 1}b}"[::-1], 2) if f >= 0 else 0
+    return (s._mask, rev, s.multiplicity, f, s.genus, node.gap_sum, node.removable)
 
 
 def _raw_to_node(raw: RawNode) -> TreeNode:
-    return TreeNode(_raw_to_semigroup(raw), raw[5], raw[4])
+    return TreeNode(_raw_to_semigroup(raw), raw[6], raw[5])
 
 
 def root() -> TreeNode:
@@ -136,7 +139,7 @@ def enumerate_by_genus(
     pop = stack.pop
     while stack:
         raw = pop()
-        g = raw[3]
+        g = raw[4]
         by_genus[g] += 1
         if visitor is not None:
             visitor(_raw_to_node(raw))
@@ -162,7 +165,7 @@ def _histogram_walk(
     node: RawNode,
     g_lo: int,
     g_hi: int,
-    visit: Optional[Callable[[Any, int, int, int, bool], Any]] = None,
+    visit: Optional[Callable[[Any, Optional[int], int, int, bool], Any]] = None,
 ) -> tuple[list[list[int]], list[list[int]]]:
     """Per-genus histograms of the subtree under a raw node, counting
     its nodes of genus g_lo .. g_hi (g_lo >= 1).
@@ -179,7 +182,12 @@ def _histogram_walk(
     over [0, F].  What it returns at a node is carried to its children:
     carried is the value returned at the parent, None at the subtree
     root.  leaf is true only at nodes whose children the walk does not
-    visit, so that visit can skip work kept for them.
+    visit, so that visit can skip work kept for them.  Nodes of genus
+    g_hi below the subtree root get mask None, and no bitmap is built
+    for them: each has its parent's carried value, and the census
+    reads the bitmap only at a subtree root.  A _split root has genus
+    at most g_hi - 1, so in the census every node of genus g_hi is
+    such a node.
     """
     mf = [[0] * (2 * g * (g + 2)) for g in range(g_hi + 1)]
     wf = [[0] * (g * (g - 1) + 2) for g in range(g_hi + 1)]
@@ -194,7 +202,7 @@ def _histogram_walk(
     extend = stack.extend
     while stack:
         node = pop()
-        mask, m, frob, g, gap_sum, gens = node
+        mask, _, m, frob, g, gap_sum, gens = node
         if g >= g_lo:
             mf[g][2 * g * m + frob] += 1
             w = gap_sum - tri[g]
@@ -208,16 +216,13 @@ def _histogram_walk(
             mf1, wf1 = mf[g1], wf[g1]
             stride = 2 * g1
             w0 = gap_sum - tri[g1]
-            f1 = frob + 1
             for x in gens:
                 m1 = m + 1 if x == m else m
                 mf1[stride * m1 + x] += 1
                 w = w0 + x
                 wf1[w + w + (x < m1 + m1)] += 1
                 if visit is not None:
-                    ext = x - f1
-                    visit(carried[g1], (mask | (((1 << ext) - 1) << f1)) if ext else mask,
-                          x, g1, True)
+                    visit(carried[g1], None, x, g1, True)
     return mf, wf
 
 
@@ -230,12 +235,12 @@ def _split(g_hi: int, n: int) -> list[RawNode]:
     there are n nodes or none is left to expand."""
 
     def entry(node: RawNode) -> tuple[int, RawNode]:
-        return (-len(node[5]) if node[3] < g_hi - 1 else 0, node)
+        return (-len(node[6]) if node[4] < g_hi - 1 else 0, node)
 
     heap = [entry(_ROOT)]
     while len(heap) < n and heap[0][0] < 0:
         _, node = heappop(heap)
-        for child in _raw_children(node) + [node[:5] + ((),)]:
+        for child in _raw_children(node) + [node[:6] + ((),)]:
             heappush(heap, entry(child))
     return [node for _, node in heap]
 

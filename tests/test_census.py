@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import dataclasses
+import hashlib
 import io
 import json
 from collections import Counter
@@ -431,6 +432,18 @@ def test_recurrence_check_instances(rows14):
 def test_komeda_compare_requires_coverage(rows14):
     with pytest.raises(ValueError):
         komeda_compare(rows14)
+
+
+# sha256 of the CSV that `sgcensus census --gmax 25` writes; every
+# column, not only the published N and nb2, through genus 25
+CENSUS25_SHA256 = "eb58902e4dead8ea52fdd8481bec30ed9b83ff830cb732b1f23ad324fbf95451"
+
+
+def test_census25_csv_pinned(census25, tmp_path):
+    rows, _ = census25
+    out = tmp_path / "rows25.csv"
+    write_csv(rows, str(out))
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CENSUS25_SHA256
 
 
 def test_komeda_compare_flags_perturbation(census25):

@@ -247,6 +247,13 @@ def test_census_resource_and_io_errors(tmp_path):
     assert "cannot write" in r.stderr
 
 
+def test_census_eps_help_names_the_equals_form(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["census", "--help"])
+    assert exc.value.code == 0
+    assert "--eps=VALUE" in " ".join(capsys.readouterr().out.split())
+
+
 def test_census_unwritable_out_fails_before_walk(tmp_path, monkeypatch):
     def must_not_run(cfg):
         raise AssertionError("census walked before the output path was checked")

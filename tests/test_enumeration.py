@@ -1,13 +1,18 @@
 """Genus-tree traversal against brute force and known layer sizes."""
 
+import random
 from collections import Counter
 
 import pytest
 
 from sgcensus.core import Semigroup
 from sgcensus.enumeration import (
+    _ROOT,
     DEFAULT_GENUS_CAP,
     ResourceLimitError,
+    _node_to_raw,
+    _raw_children,
+    _raw_to_node,
     brute_force_by_genus,
     children,
     count_matrix,
@@ -103,3 +108,67 @@ def test_resource_cap():
         brute_force_by_genus(11)
     with pytest.raises(ValueError):
         enumerate_by_genus(-1)
+
+
+def pair_loop_children(raw):
+    """A raw node's children in the layout without rev, each new
+    generator z found by testing every pair c + (z - c) of nonzero
+    members of the child: the loop that the word-level test replaced."""
+    mask, _, m, frob, g, gap_sum, gens = raw
+    out = []
+    for idx, x in enumerate(gens):
+        cmask = mask | (((1 << (x - frob - 1)) - 1) << (frob + 1))
+        m2 = m + 1 if x == m else m
+        tail = gens[idx + 1:]
+        for z in ((x + m, x + m + 1) if x == m else (x + m,)):
+            if not any(cmask >> c & 1 and cmask >> (z - c) & 1
+                       for c in range(m2, z // 2 + 1)):
+                tail += (z,)
+        out.append((cmask, m2, x, g + 1, gap_sum + x, tail))
+    return out
+
+
+def without_rev(raw):
+    return raw[:1] + raw[2:]
+
+
+def test_generator_test_matches_pair_loop():
+    stack = [_ROOT]
+    nodes = 0
+    while stack:
+        raw = stack.pop()
+        nodes += 1
+        # the rev carried down the walk is the one derived from the bitmap
+        assert _node_to_raw(_raw_to_node(raw)) == raw
+        if raw[4] < 16:
+            kids = _raw_children(raw)
+            assert [without_rev(k) for k in kids] == pair_loop_children(raw), raw
+            stack.extend(kids)
+    assert nodes == sum(KNOWN_COUNTS)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_generator_test_on_deep_descents(seed):
+    # children() serves descents past the genus cap; the bitmaps are
+    # relative to F, so no width limits them.  A descent starts at a
+    # random genus-10 node and mostly removes the smallest generator,
+    # which keeps the most removable ones; it restarts at a dead end.
+    rng = random.Random(seed)
+    start = genus_layer(10)
+    reached = []
+    while len(reached) < 20:
+        node = rng.choice(start)
+        while node.semigroup.genus < 40:
+            raw = _node_to_raw(node)
+            kids = children(node)
+            carried = _raw_children(raw)
+            assert [without_rev(k) for k in carried] == pair_loop_children(raw)
+            # the rev derived from a child's bitmap is the one carried
+            assert [_node_to_raw(k) for k in kids] == carried
+            kids = [k for k in kids if k.removable]
+            if not kids:
+                break
+            node = kids[0] if rng.random() < 0.9 else rng.choice(kids)
+        else:
+            reached.append(node.semigroup)
+    assert len({(s.multiplicity, s.frobenius) for s in reached}) > 1
